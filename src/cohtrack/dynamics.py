@@ -67,12 +67,22 @@ class IntegratorConfig:
             raise ValidationError("rtol and atol must lie in (0, 1)")
 
 
+TERMINATION_KINDS = ("horizon", "breakdown", "clipped", "invalid")
+
+
 @dataclass(frozen=True)
 class Termination:
     """Why a trajectory ended: horizon, breakdown(t_b), clipped(t) or invalid(t)."""
 
     kind: str
     time: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in TERMINATION_KINDS:
+            raise ValidationError(f"unknown termination kind {self.kind!r}; "
+                                  f"expected one of {', '.join(TERMINATION_KINDS)}")
+        if self.kind != "horizon" and self.time is None:
+            raise ValidationError(f"termination {self.kind!r} needs a time")
 
     def label(self) -> str:
         if self.kind == "horizon":
@@ -329,6 +339,7 @@ def purity_rate(ch: BlochChannel, v: CoherenceVector) -> float:
 # --- trajectory CSV serialization -------------------------------------------
 
 CSV_HEADER = "t,vx,vy,vz,purity,coherence,omega0,omega1,omega2"
+CSV_ROW = ",".join(["%.17g"] * 9)
 
 
 def _fmt(x: float) -> str:
@@ -337,15 +348,27 @@ def _fmt(x: float) -> str:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory in the documented CSV format (17 significant digits)."""
+    data = np.column_stack([traj.t, traj.v, traj.p, traj.c, traj.omega])
     lines = [CSV_HEADER]
-    for i in range(len(traj.t)):
-        row = [traj.t[i], *traj.v[i], traj.p[i], traj.c[i], *traj.omega[i]]
-        lines.append(",".join(_fmt(float(x)) for x in row))
+    lines.extend(CSV_ROW % tuple(row) for row in data.tolist())
     lines.append(f"# termination={traj.termination.label()}")
     if traj.singularity is not None:
         lines.append(traj.singularity.comment_line())
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def _parse_singularity(spec: str):
+    """SingularityReport from the text after `# singularity=`."""
+    from .tracking import SingularityReport   # tracking imports this module
+
+    cls, *fields = spec.split(" ")
+    values = dict(field.split("=", 1) for field in fields)
+    if sorted(values) != ["D1", "D2", "N1", "N2", "t"]:
+        raise ValueError(spec)
+    return SingularityReport(cls, t=float(values["t"]),
+                             d1=float(values["D1"]), d2=float(values["D2"]),
+                             n1=float(values["N1"]), n2=float(values["N2"]))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -354,13 +377,23 @@ def read_trajectory_csv(path) -> Trajectory:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or wrong header")
-    rows, termination = [], Termination("horizon")
+    rows, termination, singularity = [], Termination("horizon"), None
     for i, ln in enumerate(lines[1:], start=2):
         if ln.startswith("# termination="):
             spec = ln.split("=", 1)[1]
             kind = spec.split(":", 1)[0]
-            time = float(spec.split("=")[-1]) if ":" in spec else None
-            termination = Termination(kind, time)
+            try:
+                time = float(spec.split("=")[-1]) if ":" in spec else None
+                termination = Termination(kind, time)
+            except (ValueError, ValidationError) as e:
+                raise ValidationError(f"{path}: row {i}: bad termination "
+                                      f"{spec!r}: {e}") from None
+            continue
+        if ln.startswith("# singularity="):
+            try:
+                singularity = _parse_singularity(ln.split("=", 1)[1])
+            except ValueError:
+                raise ValidationError(f"{path}: row {i}: bad singularity line") from None
             continue
         if ln.startswith("#"):
             continue
@@ -375,4 +408,4 @@ def read_trajectory_csv(path) -> Trajectory:
         raise ValidationError(f"{path}: no data rows")
     data = np.array(rows)
     return Trajectory(data[:, 0], data[:, 1:4], data[:, 4], data[:, 5],
-                      data[:, 6:9], termination)
+                      data[:, 6:9], termination, singularity)

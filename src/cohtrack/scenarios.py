@@ -68,17 +68,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:
 
 def sweep_breakdown(spec: SweepSpec, out_dir=".") -> Path:
     """Write the breakdown-time grid CSV `c,p,t_b`; infeasible cells are empty."""
+    c_vals, p_vals = spec.c_grid.values(), spec.p_grid.values()
+    c, p = np.meshgrid(c_vals, p_vals, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_b = np.where((c == 0.0) | (spec.gamma == 0.0), math.inf,
+                       (p - c) / (2.0 * spec.gamma * c))
+    infeasible = (c > p).tolist()
+    t_b = t_b.tolist()
+    p_strs = [_fmt(x) for x in p_vals]
     lines = ["c,p,t_b"]
-    for c in spec.c_grid.values():
-        for p in spec.p_grid.values():
-            if c > p:
-                lines.append(f"{_fmt(c)},{_fmt(p)},")
-                continue
-            if spec.gamma == 0.0 or c == 0.0:
-                t_b = math.inf
-            else:
-                t_b = (p - c) / (2.0 * spec.gamma * c)
-            lines.append(f"{_fmt(c)},{_fmt(p)},{_fmt(t_b)}")
+    for i, c_str in enumerate(_fmt(x) for x in c_vals):
+        for j, p_str in enumerate(p_strs):
+            cell = "" if infeasible[i][j] else _fmt(t_b[i][j])
+            lines.append(f"{c_str},{p_str},{cell}")
     out_path = _resolve(spec.output, out_dir)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as f:
@@ -103,10 +105,9 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
         t_hi = min(t_hi, w.t_end)
     grid = np.linspace(0.0, cfg.t_max, cfg.samples)
     grid = grid[grid < t_hi] if w.t_end is not None else grid
+    row = ",".join(["%.17g"] * len(FIELDS_HEADER))
     lines = [",".join(FIELDS_HEADER)]
-    for t in grid:
-        w0, w1, w2 = w(float(t))
-        lines.append(f"{_fmt(float(t))},{_fmt(w0)},{_fmt(w1)},{_fmt(w2)}")
+    lines.extend(row % (t, *w(t)) for t in grid.tolist())
     out_path = _resolve(cfg.output, out_dir)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as f:

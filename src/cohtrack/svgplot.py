@@ -42,6 +42,12 @@ def read_csv_columns(path) -> tuple[list[str], list[list[float | None]]]:
             raise ValidationError(
                 f"{path}: row {i}: expected {len(header)} columns, got {len(parts)}"
             )
+        if "" not in parts:
+            try:
+                rows.append(list(map(float, parts)))
+                continue
+            except ValueError:
+                pass   # the cell-by-cell loop below names the bad cell
         row = []
         for j, cell in enumerate(parts):
             if cell == "":
@@ -96,10 +102,11 @@ class _Canvas:
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
     def polyline(self, xs, ys, color: str, label: str):
-        pts = " ".join(f"{_fmt(self.x_px(x))},{_fmt(self.y_px(y))}"
+        x_px, y_px, isfinite = self.x_px, self.y_px, math.isfinite
+        pts = " ".join("%.6g,%.6g" % (x_px(x), y_px(y))
                        for x, y in zip(xs, ys)
                        if x is not None and y is not None
-                       and math.isfinite(x) and math.isfinite(y))
+                       and isfinite(x) and isfinite(y))
         if pts:
             self.body.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

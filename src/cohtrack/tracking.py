@@ -151,11 +151,42 @@ def tracking_rhs(ch: BlochChannel, v: CoherenceVector) -> float:
     return f + g / v.vz - p.gamma1 * v.vz
 
 
-def _dephasing_denominator(v0: CoherenceVector, gamma: float, t: float) -> float:
+@dataclass(frozen=True)
+class _DephasingTerms:
+    """Per-trajectory constants of the closed-form dephasing fields.
+
+    omega_i(t) = num_i / sqrt(vz0_sq - two_gamma_c * t), the sign of v_z(0)
+    folded into num_i; times from guard_end = t_b (1 - guard) on are refused.
+    """
+
+    num1: float
+    num2: float
+    vz0_sq: float
+    two_gamma_c: float
+    t_b: float
+    guard_end: float
+
+    def denominator(self, t: float) -> float:
+        if t >= self.guard_end:
+            raise PastBreakdownError(t, self.t_b)
+        return math.sqrt(self.vz0_sq - self.two_gamma_c * t)
+
+    def fields(self, t: float) -> tuple[float, float]:
+        denom = self.denominator(t)
+        return self.num1 / denom, self.num2 / denom
+
+
+def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float) -> _DephasingTerms:
     t_b = breakdown_time(v0, gamma)
-    if t >= t_b * (1.0 - BREAKDOWN_GUARD):
-        raise PastBreakdownError(t, t_b)
-    return math.sqrt(v0.vz**2 - 2.0 * gamma * coherence(v0) * t)
+    s = 1.0 if v0.vz > 0 else -1.0
+    return _DephasingTerms(
+        num1=s * (-gamma * v0.vy + omega0 * v0.vx),
+        num2=s * (-gamma * v0.vx - omega0 * v0.vy),
+        vz0_sq=v0.vz**2,
+        two_gamma_c=2.0 * gamma * coherence(v0),
+        t_b=t_b,
+        guard_end=t_b * (1.0 - BREAKDOWN_GUARD),
+    )
 
 
 def tracking_fields_dephasing(v0: CoherenceVector, gamma: float, omega0: float,
@@ -165,11 +196,7 @@ def tracking_fields_dephasing(v0: CoherenceVector, gamma: float, omega0: float,
         raise DomainError("v_z(0) = 0: no control is possible")
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    s = 1.0 if v0.vz > 0 else -1.0
-    denom = _dephasing_denominator(v0, gamma, t)
-    omega1 = s * (-gamma * v0.vy + omega0 * v0.vx) / denom
-    omega2 = s * (-gamma * v0.vx - omega0 * v0.vy) / denom
-    return omega1, omega2
+    return _dephasing_terms(v0, gamma, omega0).fields(t)
 
 
 def _general_numerators(ch: BlochChannel, v: np.ndarray, omega0: float,
@@ -221,7 +248,7 @@ def omega_magnitude_sq(v0: CoherenceVector, gamma: float, omega0: float,
     Equals (gamma^2 + omega0^2) c / (v_z(0)^2 - 2 gamma c t) + omega0^2, which
     matches omega1^2 + omega2^2 + omega0^2 of the synthesized fields.
     """
-    denom = _dephasing_denominator(v0, gamma, t)
+    denom = _dephasing_terms(v0, gamma, omega0).denominator(t)
     c = coherence(v0)
     return (gamma**2 + omega0**2) * c / denom**2 + omega0**2
 
@@ -244,28 +271,26 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     each in-plane field is clamped independently once it would exceed the
     level, and the waveform is defined for all times (the fields saturate).
     """
-    sol = TrackingSolution(v0, gamma, omega0, omega_max)
-    t_b = sol.t_b
-    guard_end = None if math.isinf(t_b) else t_b * (1.0 - BREAKDOWN_GUARD)
+    TrackingSolution(v0, gamma, omega0, omega_max)   # validates gamma and v_z(0)
+    terms = _dephasing_terms(v0, gamma, omega0)
+    guard_end = None if math.isinf(terms.t_b) else terms.guard_end
 
     if omega_max is None:
         def fields(t):
-            w1, w2 = tracking_fields_dephasing(v0, gamma, omega0, t)
+            w1, w2 = terms.fields(t)
             return (omega0, w1, w2)
         return ControlWaveform.closed_form(fields, t_end=guard_end)
 
     if omega_max <= 0:
         raise DomainError(f"omega_max must be positive, got {omega_max}")
-    s = sol.sign
-    num1 = s * (-gamma * v0.vy + omega0 * v0.vx)
-    num2 = s * (-gamma * v0.vx - omega0 * v0.vy)
+    num1, num2 = terms.num1, terms.num2
 
     def clipped(t):
-        if guard_end is not None and t >= guard_end:
+        if t >= terms.guard_end:
             w1 = math.copysign(omega_max, num1) if num1 != 0 else 0.0
             w2 = math.copysign(omega_max, num2) if num2 != 0 else 0.0
             return (omega0, w1, w2)
-        w1, w2 = tracking_fields_dephasing(v0, gamma, omega0, t)
+        w1, w2 = terms.fields(t)
         return (omega0,
                 max(-omega_max, min(omega_max, w1)),
                 max(-omega_max, min(omega_max, w2)))
@@ -277,18 +302,18 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
 def clip_time(v0: CoherenceVector, gamma: float, omega0: float,
               omega_max: float) -> float:
     """First time at which either in-plane tracked field reaches omega_max."""
-    sol = TrackingSolution(v0, gamma, omega0, omega_max)
-    c = coherence(v0)
+    TrackingSolution(v0, gamma, omega0, omega_max)   # validates gamma and v_z(0)
+    terms = _dephasing_terms(v0, gamma, omega0)
     times = []
-    for num in (-gamma * v0.vy + omega0 * v0.vx, -gamma * v0.vx - omega0 * v0.vy):
+    for num in (terms.num1, terms.num2):
         if num == 0.0:
             continue
-        if gamma == 0.0 or c == 0.0:
+        if terms.two_gamma_c == 0.0:
             # Constant field: clips at t = 0 or never.
             times.append(0.0 if abs(num / v0.vz) >= omega_max else math.inf)
             continue
         radicand = (num / omega_max) ** 2
-        times.append(max(0.0, (v0.vz**2 - radicand) / (2.0 * gamma * c)))
+        times.append(max(0.0, (terms.vz0_sq - radicand) / terms.two_gamma_c))
     return min(times) if times else math.inf
 
 
@@ -410,58 +435,42 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel,
     """
     if len(traj.t) == 0:
         raise DomainError("cannot classify an empty trajectory")
-    ts = list(traj.t)
-    vs = [traj.v[i] for i in range(len(traj.t))]
-    w0s = list(traj.omega[:, 0])
+    ts, vs, w0s = traj.t, traj.v, traj.omega[:, 0]
     if traj.termination.kind == "breakdown" and traj.termination.time is not None:
-        ts.append(traj.termination.time)
-        vs.append(np.array([traj.v[-1, 0], traj.v[-1, 1], 0.0]))
-        w0s.append(w0s[-1])
+        ts = np.append(ts, traj.termination.time)
+        vs = np.vstack([vs, [vs[-1, 0], vs[-1, 1], 0.0]])
+        w0s = np.append(w0s, w0s[-1])
 
-    d1s, d2s, n1s, n2s = [], [], [], []
-    for v, w0 in zip(vs, w0s):
-        d1, d2 = _general_denominators(v)
-        n1, n2 = _general_numerators(ch, v, w0, 0.0, 0.0)
-        d1s.append(d1)
-        d2s.append(d2)
-        n1s.append(n1)
-        n2s.append(n2)
+    # Screen whole arrays for zeros of D1 = 2 v_y v_z and D2 = 2 v_x v_z; the
+    # quadratic forms of `_general_denominators` that give the reported values
+    # are NaN, never zero, when any component is not finite.
+    finite = np.all(np.isfinite(vs), axis=1)
+    zero1 = finite & (np.abs(2.0 * vs[:, 1] * vs[:, 2]) <= eps_d)
+    zero2 = finite & (np.abs(2.0 * vs[:, 0] * vs[:, 2]) <= eps_d)
 
-    def longest_zero_run(ds):
-        best_len, best_start, cur, start = 0, None, 0, None
-        for j, d in enumerate(ds):
-            if abs(d) <= eps_d:
-                if cur == 0:
-                    start = j
-                cur += 1
-                if cur > best_len:
-                    best_len, best_start = cur, start
-            else:
-                cur = 0
-        return best_len, best_start
+    def report(cls, j, note=""):
+        d1, d2 = _general_denominators(vs[j])
+        n1, n2 = _general_numerators(ch, vs[j], w0s[j], 0.0, 0.0)
+        if cls is None:   # isolated zero: classify by the vanishing rows' numerators
+            mags = [abs(n) for n, zero in ((n1, zero1[j]), (n2, zero2[j])) if zero]
+            cls = "nontrivial-a" if max(mags) > eps_n else "nontrivial-b"
+        return SingularityReport(cls, t=float(ts[j]), d1=d1, d2=d2, n1=n1, n2=n2,
+                                 note=note)
 
-    for ds in (d1s, d2s):
-        length, start = longest_zero_run(ds)
-        if length >= run_length:
-            note = "no control possible" if start == 0 else ""
-            return SingularityReport("trivial", t=float(ts[start]),
-                                     d1=d1s[start], d2=d2s[start],
-                                     n1=n1s[start], n2=n2s[start], note=note)
+    for zero in (zero1, zero2):
+        # Longest run of zeros, the first of equal length.
+        edges = np.diff(zero.astype(int), prepend=0, append=0)
+        starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        if len(starts):
+            k = int(np.argmax(ends - starts))
+            if ends[k] - starts[k] >= run_length:
+                start = int(starts[k])
+                return report("trivial", start,
+                              "no control possible" if start == 0 else "")
 
-    for j in range(len(ts)):
-        zero1 = abs(d1s[j]) <= eps_d
-        zero2 = abs(d2s[j]) <= eps_d
-        if not (zero1 or zero2):
-            continue
-        mags = []
-        if zero1:
-            mags.append(abs(n1s[j]))
-        if zero2:
-            mags.append(abs(n2s[j]))
-        cls = "nontrivial-a" if max(mags) > eps_n else "nontrivial-b"
-        return SingularityReport(cls, t=float(ts[j]), d1=d1s[j], d2=d2s[j],
-                                 n1=n1s[j], n2=n2s[j])
-
+    hits = np.flatnonzero(zero1 | zero2)
+    if len(hits):
+        return report(None, int(hits[0]))
     return SingularityReport("none")
 
 

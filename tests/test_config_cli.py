@@ -9,7 +9,7 @@ import pytest
 from cohtrack.cli import main
 from cohtrack.config import ScenarioConfig, SweepSpec
 from cohtrack.dynamics import read_trajectory_csv
-from cohtrack.errors import ConfigError
+from cohtrack.errors import ConfigError, ValidationError
 from cohtrack.svgplot import read_csv_columns
 
 TRACK_CONFIG = {
@@ -201,6 +201,16 @@ class TestCLISweepAndPlots:
         main(["plot", csv, "-o", str(tmp_path / "p2.svg")])
         assert ((tmp_path / "p1.svg").read_bytes()
                 == (tmp_path / "p2.svg").read_bytes())
+
+    def test_read_csv_columns_cells(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("c,p,t_b\n0.5,0.25,\n# note\n0.25,0.5,2\n")
+        assert read_csv_columns(path) == (["c", "p", "t_b"],
+                                          [[0.5, 0.25, None], [0.25, 0.5, 2.0]])
+        path.write_text("c,p,t_b\n0.5,0.25,\n0.25,x,2\n")
+        with pytest.raises(ValidationError,
+                           match="row 3: non-numeric value 'x' in column 'p'"):
+            read_csv_columns(path)
 
     def test_missing_plot_input_is_config_error(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "absent.csv"),

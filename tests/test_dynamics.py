@@ -177,6 +177,23 @@ class TestAnalyticHelpers:
                             rel_tol=1e-12)
 
 
+class TestTermination:
+    def test_kinds_and_labels(self):
+        assert Termination("horizon").label() == "horizon"
+        assert Termination("breakdown", 2.5).label() == "breakdown:t_b=2.5"
+        assert Termination("clipped", 1.0).label() == "clipped:t=1"
+        assert Termination("invalid", 0.5).label() == "invalid:t=0.5"
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            Termination("bogus")
+
+    @pytest.mark.parametrize("kind", ["breakdown", "clipped", "invalid"])
+    def test_non_horizon_kind_needs_time(self, kind):
+        with pytest.raises(ValidationError, match="time"):
+            Termination(kind)
+
+
 class TestTrajectoryCSV:
     def test_round_trip(self, tmp_path):
         ch = BlochChannel.dephasing(0.1)
@@ -205,6 +222,37 @@ class TestTrajectoryCSV:
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n1,2,3\n")
         with pytest.raises(ValidationError, match="row 2"):
+            read_trajectory_csv(path)
+
+    def test_singularity_line_round_trip(self, tmp_path):
+        from cohtrack.tracking import classify_singularity, simulate_tracked
+
+        ch = BlochChannel.dephasing(0.1)
+        traj = simulate_tracked(ch, V0, 4.0, 10.0, n_samples=201)
+        report = classify_singularity(traj, ch)
+        traj = traj.with_singularity(report)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_trajectory_csv(traj, first)
+        back = read_trajectory_csv(first)
+        assert back.singularity.classification == "nontrivial-a"
+        got = back.singularity
+        assert (got.t, got.d1, got.d2, got.n1, got.n2) == (
+            report.t, report.d1, report.d2, report.n1, report.n2)
+        write_trajectory_csv(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("comment", [
+        "# termination=bogus",
+        "# termination=breakdown",
+        "# termination=clipped:t=soon",
+        "# singularity=trivial t=1 D1=0",
+        "# singularity=trivial t=x D1=0 D2=0 N1=0 N2=0",
+    ])
+    def test_malformed_comment_lines_rejected(self, tmp_path, comment):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n" + ",".join(["0"] * 9) + "\n"
+                        + comment + "\n")
+        with pytest.raises(ValidationError, match="row 3"):
             read_trajectory_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohtrack.bloch import BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
-from cohtrack.dynamics import propagate_bloch
+from cohtrack.dynamics import Termination, Trajectory, propagate_bloch
 from cohtrack.errors import (
     DomainError,
     PastBreakdownError,
@@ -16,7 +16,10 @@ from cohtrack.errors import (
     SingularPointError,
 )
 from cohtrack.tracking import (
+    SingularityReport,
     TrackingSolution,
+    _general_denominators,
+    _general_numerators,
     breakdown_time,
     classify_singularity,
     clip_time,
@@ -251,6 +254,113 @@ class TestSingularityClassification:
         assert line.startswith("# singularity=nontrivial-a t=")
         for tag in ("D1=", "D2=", "N1=", "N2="):
             assert tag in line
+
+
+def _classify_per_sample(traj, ch, eps_d=1e-10, eps_n=1e-8, run_length=10):
+    """Reference: the per-sample loop that `classify_singularity` replaced."""
+    ts = list(traj.t)
+    vs = [traj.v[i] for i in range(len(traj.t))]
+    w0s = list(traj.omega[:, 0])
+    if traj.termination.kind == "breakdown" and traj.termination.time is not None:
+        ts.append(traj.termination.time)
+        vs.append(np.array([traj.v[-1, 0], traj.v[-1, 1], 0.0]))
+        w0s.append(w0s[-1])
+
+    d1s, d2s, n1s, n2s = [], [], [], []
+    for v, w0 in zip(vs, w0s):
+        d1, d2 = _general_denominators(v)
+        n1, n2 = _general_numerators(ch, v, w0, 0.0, 0.0)
+        d1s.append(d1)
+        d2s.append(d2)
+        n1s.append(n1)
+        n2s.append(n2)
+
+    def longest_zero_run(ds):
+        best_len, best_start, cur, start = 0, None, 0, None
+        for j, d in enumerate(ds):
+            if abs(d) <= eps_d:
+                if cur == 0:
+                    start = j
+                cur += 1
+                if cur > best_len:
+                    best_len, best_start = cur, start
+            else:
+                cur = 0
+        return best_len, best_start
+
+    for ds in (d1s, d2s):
+        length, start = longest_zero_run(ds)
+        if length >= run_length:
+            note = "no control possible" if start == 0 else ""
+            return SingularityReport("trivial", t=float(ts[start]),
+                                     d1=d1s[start], d2=d2s[start],
+                                     n1=n1s[start], n2=n2s[start], note=note)
+
+    for j in range(len(ts)):
+        zero1 = abs(d1s[j]) <= eps_d
+        zero2 = abs(d2s[j]) <= eps_d
+        if not (zero1 or zero2):
+            continue
+        mags = []
+        if zero1:
+            mags.append(abs(n1s[j]))
+        if zero2:
+            mags.append(abs(n2s[j]))
+        cls = "nontrivial-a" if max(mags) > eps_n else "nontrivial-b"
+        return SingularityReport(cls, t=float(ts[j]), d1=d1s[j], d2=d2s[j],
+                                 n1=n1s[j], n2=n2s[j])
+
+    return SingularityReport("none")
+
+
+def _table(rows, termination=Termination("horizon"), omega0=OMEGA0):
+    v = np.array(rows, dtype=float)
+    n = len(v)
+    omega = np.column_stack([np.full(n, omega0), np.ones(n), -np.ones(n)])
+    c = v[:, 0] ** 2 + v[:, 1] ** 2
+    return Trajectory(np.linspace(0.0, 1.0, n), v, c + v[:, 2] ** 2, c, omega,
+                      termination)
+
+
+_GENERIC = [0.3, -0.2, 0.5]
+
+
+def _singularity_cases():
+    eq = CoherenceVector(0.5, 0.5, 0.0)
+    nan_rows = [[math.nan, 0.0, 0.5], [0.3, math.nan, 0.0], [math.inf, 0.0, 0.0],
+                [0.0, 0.4, math.nan]]
+    return {
+        "trivial-at-start": (propagate_bloch(DEPHASING, ControlWaveform.zero(), eq,
+                                             1.0, n_samples=51), DEPHASING),
+        "trivial-in-middle": (_table([_GENERIC] * 7 + [[0.3, 0.1, 0.0]] * 12
+                                     + [_GENERIC] * 5), DEPHASING),
+        "longest-run-wins": (_table([_GENERIC] + [[0.0, 0.2, 0.0]] * 10
+                                    + [_GENERIC] + [[0.1, 0.0, 0.0]] * 14), DEPHASING),
+        "run-of-nine-is-not-trivial": (_table([_GENERIC] * 3 + [[0.2, 0.0, 0.4]] * 9
+                                              + [_GENERIC] * 3), DEPHASING),
+        "nontrivial-a-at-breakdown": (simulate_tracked(DEPHASING, V0, OMEGA0, 10.0),
+                                      DEPHASING),
+        "nontrivial-b": (_table([_GENERIC] * 4 + [[0.0, 0.0, 0.3]] + [_GENERIC] * 4),
+                         DEPHASING),
+        "nan-rows": (_table([_GENERIC] + nan_rows + [[0.2, 0.3, 0.0]] + [_GENERIC]),
+                     DEPHASING),
+        "nan-run": (_table([_GENERIC] + [[math.nan, 0.0, 0.0]] * 12 + [_GENERIC]),
+                    DEPHASING),
+        "breakdown-after-nan": (_table([_GENERIC, [math.nan, 0.1, 0.2]],
+                                       Termination("breakdown", 2.0)), DEPHASING),
+        "none": (simulate_tracked(BlochChannel.dephasing(0.0), V0, OMEGA0, 5.0),
+                 BlochChannel.dephasing(0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_singularity_cases()))
+def test_classification_matches_per_sample_loop(case):
+    traj, ch = _singularity_cases()[case]
+    with np.errstate(invalid="ignore"):
+        got = classify_singularity(traj, ch)
+        want = _classify_per_sample(traj, ch)
+    assert got.comment_line() == want.comment_line()
+    assert got.note == want.note
 
 
 class TestRampSchedule:
