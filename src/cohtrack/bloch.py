@@ -104,7 +104,7 @@ class GKSMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        report = validate_gks_array(m)
+        report = validate_gks(m)
         if not report.valid:
             raise ValidationError(report.message)
         object.__setattr__(self, "matrix", _freeze(m))
@@ -128,18 +128,6 @@ class ChannelParams:
     lam: float
     mu: float
     nu: float
-
-    @property
-    def damping_x(self) -> float:
-        return self.gamma3
-
-    @property
-    def damping_y(self) -> float:
-        return self.gamma2
-
-    @property
-    def damping_z(self) -> float:
-        return self.gamma1
 
 
 @dataclass(frozen=True)
@@ -196,8 +184,10 @@ class GKSValidationReport:
     message: str
 
 
-def validate_gks_array(a) -> GKSValidationReport:
-    """Check Hermiticity and positive semidefiniteness of a candidate GKS matrix."""
+def validate_gks(a) -> GKSValidationReport:
+    """Check Hermiticity and positive semidefiniteness of a GKS matrix or raw array."""
+    if isinstance(a, GKSMatrix):
+        a = a.matrix
     a = np.asarray(a, dtype=complex)
     if a.shape != (3, 3):
         return GKSValidationReport(False, math.inf, -math.inf,
@@ -212,13 +202,6 @@ def validate_gks_array(a) -> GKSValidationReport:
         return GKSValidationReport(False, herm, min_eig,
                                    f"GKS matrix not PSD: min eigenvalue {min_eig:.3e}")
     return GKSValidationReport(True, herm, min_eig, "valid")
-
-
-def validate_gks(a) -> GKSValidationReport:
-    """Validate a GKS matrix or raw array, returning the measured residuals."""
-    if isinstance(a, GKSMatrix):
-        a = a.matrix
-    return validate_gks_array(a)
 
 
 def density_to_bloch(rho: DensityMatrix) -> CoherenceVector:

@@ -25,6 +25,7 @@ from .bloch import (
     lindblad_apply_raw,
 )
 from .errors import DomainError, ValidationError
+from .svgplot import _parse_row
 from .waveform import ControlWaveform
 
 FIXED_RK4 = "fixed-RK4"
@@ -122,12 +123,6 @@ class Trajectory:
         return replace(self, singularity=report)
 
 
-def _derived_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = v[:, 0] ** 2 + v[:, 1] ** 2
-    p = c + v[:, 2] ** 2
-    return p, c
-
-
 def _segment_edges(t0: float, t1: float, breakpoints) -> np.ndarray:
     interior = [b for b in breakpoints if t0 < b < t1]
     return np.array([t0, *interior, t1])
@@ -189,21 +184,50 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
     return ys, n_ok
 
 
-def _output_grid(t_max: float, w: ControlWaveform, n_samples: int) -> tuple[np.ndarray, bool]:
-    """Uniform output grid on [0, t_max], truncated below the waveform domain end."""
+def _output_grid(t_max: float, t_end: float | None,
+                 n_samples: int) -> tuple[np.ndarray, Termination]:
+    """Uniform output grid on [0, t_max] and the run's normal end.
+
+    A domain end t_end <= t_max truncates the grid below it, and a run that
+    reaches the last kept sample then ends in `breakdown` at t_end.
+    """
     if not t_max > 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
     grid = np.linspace(0.0, t_max, n_samples)
-    if w.t_end is not None and w.t_end <= t_max:
-        grid = grid[grid < w.t_end]
+    if t_end is not None and t_end <= t_max:
+        grid = grid[grid < t_end]
         if len(grid) == 0:
             grid = np.array([0.0])
-        return grid, True
-    return grid, False
+        return grid, Termination("breakdown", float(t_end))
+    return grid, Termination("horizon")
 
 
 def _fields_on_grid(w: ControlWaveform, grid: np.ndarray) -> np.ndarray:
     return np.array([w(t) for t in grid])
+
+
+def _trajectory(grid: np.ndarray, vs: np.ndarray, n_ok: int, cfg: IntegratorConfig,
+                end: Termination, fields) -> Trajectory:
+    """The trajectory of the first n_ok integrated Bloch samples, and why it ended.
+
+    The first sample that is not finite or lies outside the Bloch ball by
+    more than 1 + 10*rtol ends the run `invalid` at its time and is dropped,
+    as is everything after it; a solver that stopped early ends the run
+    `invalid` at the first grid point it did not reach. Otherwise the run
+    ends with `end`. `fields(grid, vs)` gives the applied fields of the kept
+    samples.
+    """
+    norm_cap = 1.0 + 10.0 * cfg.rtol
+    for i in range(n_ok):
+        if not np.all(np.isfinite(vs[i])) or float(vs[i] @ vs[i]) > norm_cap**2:
+            end, n_ok = Termination("invalid", float(grid[i])), max(1, i)
+            break
+    else:
+        if n_ok < len(grid):
+            end = Termination("invalid", float(grid[n_ok]))
+    grid, vs = grid[:n_ok], vs[:n_ok]
+    c = vs[:, 0] ** 2 + vs[:, 1] ** 2
+    return Trajectory(grid, vs, c + vs[:, 2] ** 2, c, fields(grid, vs), end)
 
 
 def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
@@ -217,7 +241,7 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     rather than raising, so parameter sweeps can record failures.
     """
     cfg = cfg or IntegratorConfig()
-    grid, ended_early = _output_grid(t_max, w, n_samples)
+    grid, end = _output_grid(t_max, w.t_end, n_samples)
     m0, k = ch.m0, ch.k
 
     def rhs(t, v):
@@ -231,23 +255,7 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
         return dv
 
     ys, n_ok = _integrate(rhs, v0.as_array(), grid, cfg, w.breakpoints)
-    norm_cap = 1.0 + 10.0 * cfg.rtol
-    termination = None
-    for i in range(n_ok):
-        if not np.all(np.isfinite(ys[i])) or float(ys[i] @ ys[i]) > norm_cap**2:
-            termination = Termination("invalid", float(grid[i]))
-            n_ok = max(1, i)
-            break
-    if termination is None and n_ok < len(grid):
-        termination = Termination("invalid", float(grid[n_ok]))
-    if termination is None:
-        if ended_early:
-            termination = Termination("breakdown", float(w.t_end))
-        else:
-            termination = Termination("horizon")
-    grid, ys = grid[:n_ok], ys[:n_ok]
-    p, c = _derived_columns(ys)
-    return Trajectory(grid, ys, p, c, _fields_on_grid(w, grid), termination)
+    return _trajectory(grid, ys, n_ok, cfg, end, lambda g, _: _fields_on_grid(w, g))
 
 
 def lindblad_apply(a: GKSMatrix, rho: DensityMatrix) -> np.ndarray:
@@ -264,7 +272,7 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
     from 2x2 matrix algebra only and never touches the affine (m0, k) form.
     """
     cfg = cfg or IntegratorConfig()
-    grid, ended_early = _output_grid(t_max, w, n_samples)
+    grid, end = _output_grid(t_max, w.t_end, n_samples)
     # Precompute the dissipator as a 4x4 superoperator on the row-major
     # vectorization: vec(F_i x F_j) = (F_i kron F_j^t) vec(x).
     eye = np.eye(2)
@@ -290,21 +298,7 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
     for i in range(n_ok):
         rho = ys[i].reshape(2, 2)
         vs[i] = [np.trace(rho @ s).real for s in PAULIS]
-    termination = None
-    norm_cap = 1.0 + 10.0 * cfg.rtol
-    for i in range(n_ok):
-        if not np.all(np.isfinite(vs[i])) or float(vs[i] @ vs[i]) > norm_cap**2:
-            termination = Termination("invalid", float(grid[i]))
-            n_ok = max(1, i)
-            break
-    if termination is None and n_ok < len(grid):
-        termination = Termination("invalid", float(grid[n_ok]))
-    if termination is None:
-        termination = (Termination("breakdown", float(w.t_end)) if ended_early
-                       else Termination("horizon"))
-    grid, vs = grid[:n_ok], vs[:n_ok]
-    p, c = _derived_columns(vs)
-    return Trajectory(grid, vs, p, c, _fields_on_grid(w, grid), termination)
+    return _trajectory(grid, vs, n_ok, cfg, end, lambda g, _: _fields_on_grid(w, g))
 
 
 def free_dephasing_analytic(gamma: float, v0: CoherenceVector, t: float) -> CoherenceVector:
@@ -377,6 +371,7 @@ def read_trajectory_csv(path) -> Trajectory:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or wrong header")
+    header = CSV_HEADER.split(",")
     rows, termination, singularity = [], Termination("horizon"), None
     for i, ln in enumerate(lines[1:], start=2):
         if ln.startswith("# termination="):
@@ -397,13 +392,11 @@ def read_trajectory_csv(path) -> Trajectory:
             continue
         if ln.startswith("#"):
             continue
-        parts = ln.split(",")
-        if len(parts) != 9:
-            raise ValidationError(f"{path}: row {i}: expected 9 columns, got {len(parts)}")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError:
-            raise ValidationError(f"{path}: row {i}: non-numeric value") from None
+        row = _parse_row(path, i, ln, header)
+        if None in row:
+            raise ValidationError(f"{path}: row {i}: empty cell in column "
+                                  f"{header[row.index(None)]!r}")
+        rows.append(row)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     data = np.array(rows)

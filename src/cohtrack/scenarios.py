@@ -9,7 +9,13 @@ import numpy as np
 
 from .bloch import gks_to_channel
 from .config import ScenarioConfig, SweepSpec, complex_matrix_to_json
-from .dynamics import Trajectory, propagate_bloch, write_trajectory_csv, _fmt
+from .dynamics import (
+    Trajectory,
+    _fmt,
+    _output_grid,
+    propagate_bloch,
+    write_trajectory_csv,
+)
 from .equivalence import (
     Unitary2,
     is_dephasing_class,
@@ -20,6 +26,7 @@ from .equivalence import (
 from .errors import ConfigError, DomainError
 from .svgplot import FIELDS_HEADER, read_csv_columns
 from .tracking import (
+    _is_dephasing_form,
     breakdown_time,
     classify_singularity,
     simulate_tracked,
@@ -92,19 +99,14 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
     """Write the synthesized tracking fields as a fields-only CSV."""
     if cfg.control.mode != "track":
         raise ConfigError("fields emission requires a track-mode config")
-    ch = cfg.channel.to_bloch_channel()
-    ok, _, gamma = is_dephasing_class(ch)
-    if not ok or not np.allclose(ch.m0, np.diag([-gamma, -gamma, 0.0]), atol=1e-12):
+    dephasing, gamma = _is_dephasing_form(cfg.channel.to_bloch_channel())
+    if not dephasing:
         raise ConfigError("fields emission requires a pure-dephasing channel")
     v0 = cfg.initial_state.v
     if v0.vz == 0.0:
         raise DomainError("v_z(0) = 0: no control is possible")
     w = tracked_waveform(v0, gamma, cfg.control.omega0, cfg.control.omega_max)
-    t_hi = cfg.t_max
-    if w.t_end is not None:
-        t_hi = min(t_hi, w.t_end)
-    grid = np.linspace(0.0, cfg.t_max, cfg.samples)
-    grid = grid[grid < t_hi] if w.t_end is not None else grid
+    grid, _ = _output_grid(cfg.t_max, w.t_end, cfg.samples)
     row = ",".join(["%.17g"] * len(FIELDS_HEADER))
     lines = [",".join(FIELDS_HEADER)]
     lines.extend(row % (t, *w(t)) for t in grid.tolist())

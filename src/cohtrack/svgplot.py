@@ -33,35 +33,36 @@ def read_csv_columns(path) -> tuple[list[str], list[list[float | None]]]:
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].split(",")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        if ln.startswith("#"):
-            continue
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValidationError(
-                f"{path}: row {i}: expected {len(header)} columns, got {len(parts)}"
-            )
-        if "" not in parts:
-            try:
-                rows.append(list(map(float, parts)))
-                continue
-            except ValueError:
-                pass   # the cell-by-cell loop below names the bad cell
-        row = []
-        for j, cell in enumerate(parts):
-            if cell == "":
-                row.append(None)
-                continue
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {i}: non-numeric value {cell!r} in column "
-                    f"{header[j]!r}"
-                ) from None
-        rows.append(row)
+    rows = [_parse_row(path, i, ln, header)
+            for i, ln in enumerate(lines[1:], start=2) if not ln.startswith("#")]
     return header, rows
+
+
+def _parse_row(path, i: int, line: str, header: list[str]) -> list[float | None]:
+    """Cells of data row i (counted over non-blank lines); empty cells become None."""
+    parts = line.split(",")
+    if len(parts) != len(header):
+        raise ValidationError(
+            f"{path}: row {i}: expected {len(header)} columns, got {len(parts)}"
+        )
+    if "" not in parts:
+        try:
+            return list(map(float, parts))
+        except ValueError:
+            pass   # the cell-by-cell loop below names the bad cell
+    row = []
+    for j, cell in enumerate(parts):
+        if cell == "":
+            row.append(None)
+            continue
+        try:
+            row.append(float(cell))
+        except ValueError:
+            raise ValidationError(
+                f"{path}: row {i}: non-numeric value {cell!r} in column "
+                f"{header[j]!r}"
+            ) from None
+    return row
 
 
 def _fmt(x: float) -> str:

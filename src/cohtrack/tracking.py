@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .bloch import (
     LAMBDA_0,
@@ -27,8 +28,9 @@ from .dynamics import (
     IntegratorConfig,
     Termination,
     Trajectory,
-    _derived_columns,
     _integrate,
+    _output_grid,
+    _trajectory,
     propagate_bloch,
 )
 from .errors import (
@@ -83,7 +85,6 @@ class TrackingSolution:
     v0: CoherenceVector
     gamma: float
     omega0: float
-    omega_max: float | None = None
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -219,15 +220,17 @@ def _general_denominators(v: np.ndarray) -> tuple[float, float]:
     return d1, d2
 
 
-def tracking_fields_general(ch: BlochChannel, v: CoherenceVector, omega0: float,
-                            s1dot: float = 0.0, s2dot: float = 0.0) -> tuple[float, float]:
+def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
+                            omega0: float, s1dot: float = 0.0,
+                            s2dot: float = 0.0) -> tuple[float, float]:
     """In-plane fields enforcing dS1/dt = s1dot, dS2/dt = s2dot for any channel.
 
     Solves the quadratic-objective rate equations for omega1 and omega2; on
     the pure-dephasing channel with zero target rates this reproduces
-    `tracking_fields_dephasing` exactly.
+    `tracking_fields_dephasing` exactly. `v` may be a raw (3,) array, which
+    is not checked against the Bloch ball: integrator stages can leave it.
     """
-    arr = v.as_array()
+    arr = v.as_array() if isinstance(v, CoherenceVector) else v
     d1, d2 = _general_denominators(arr)
     if abs(d1) <= 1e-12 or abs(d2) <= 1e-12:
         n1, n2 = _general_numerators(ch, arr, omega0, s1dot, s2dot)
@@ -271,7 +274,7 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     each in-plane field is clamped independently once it would exceed the
     level, and the waveform is defined for all times (the fields saturate).
     """
-    TrackingSolution(v0, gamma, omega0, omega_max)   # validates gamma and v_z(0)
+    TrackingSolution(v0, gamma, omega0)   # validates gamma and v_z(0)
     terms = _dephasing_terms(v0, gamma, omega0)
     guard_end = None if math.isinf(terms.t_b) else terms.guard_end
 
@@ -302,7 +305,7 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
 def clip_time(v0: CoherenceVector, gamma: float, omega0: float,
               omega_max: float) -> float:
     """First time at which either in-plane tracked field reaches omega_max."""
-    TrackingSolution(v0, gamma, omega0, omega_max)   # validates gamma and v_z(0)
+    TrackingSolution(v0, gamma, omega0)   # validates gamma and v_z(0)
     terms = _dephasing_terms(v0, gamma, omega0)
     times = []
     for num in (terms.num1, terms.num2):
@@ -346,48 +349,34 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     if omega_max is not None:
         raise DomainError("field clipping is only supported on the closed-form "
                           "pure-dephasing path")
-
-    def feedback_fields(t, v):
-        w1, w2 = tracking_fields_general(ch, CoherenceVector.from_array(v), omega0)
-        return omega0, w1, w2
-
-    return _propagate_feedback(ch, v0, feedback_fields, t_max, cfg, n_samples)
-
-
-def _propagate_feedback(ch, v0, fields_of_state, t_max, cfg, n_samples):
-    """Integrate with fields recomputed from the current state per evaluation."""
     cfg = cfg or IntegratorConfig()
-    grid = np.linspace(0.0, t_max, n_samples)
+    grid, end = _output_grid(t_max, None, n_samples)
+    try:
+        ys, n_ok = _integrate(_feedback_rhs(ch, omega0), v0.as_array(), grid, cfg)
+    except SingularPointError:
+        ys, n_ok = np.array([v0.as_array()]), 1
+
+    def fields(ts, vs):
+        omega = np.full((len(ts), 3), np.nan)
+        for i, v in enumerate(vs):
+            try:
+                omega[i] = (omega0, *tracking_fields_general(ch, v, omega0))
+            except SingularPointError:
+                pass
+        return omega
+
+    return _trajectory(grid, ys, n_ok, cfg, end, fields)
+
+
+def _feedback_rhs(ch: BlochChannel, omega0: float):
+    """dv/dt under state-feedback fields recomputed from the raw state."""
     m0, k = ch.m0, ch.k
 
     def rhs(t, v):
-        w = fields_of_state(t, v)
-        return (m0 + control_matrix(*w)) @ v + k
+        w1, w2 = tracking_fields_general(ch, v, omega0)
+        return (m0 + control_matrix(omega0, w1, w2)) @ v + k
 
-    try:
-        ys, n_ok = _integrate(rhs, v0.as_array(), grid, cfg)
-    except SingularPointError:
-        ys, n_ok = np.array([v0.as_array()]), 1
-    norm_cap = 1.0 + 10.0 * cfg.rtol
-    termination = None
-    for i in range(n_ok):
-        if not np.all(np.isfinite(ys[i])) or float(ys[i] @ ys[i]) > norm_cap**2:
-            termination = Termination("invalid", float(grid[i]))
-            n_ok = max(1, i)
-            break
-    if termination is None and n_ok < len(grid):
-        termination = Termination("invalid", float(grid[n_ok]))
-    if termination is None:
-        termination = Termination("horizon")
-    grid, ys = grid[:n_ok], ys[:n_ok]
-    omega = np.zeros((n_ok, 3))
-    for i in range(n_ok):
-        try:
-            omega[i] = fields_of_state(grid[i], ys[i])
-        except SingularPointError:
-            omega[i] = np.nan
-    p, c = _derived_columns(ys)
-    return Trajectory(grid, ys, p, c, omega, termination)
+    return rhs
 
 
 def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
@@ -398,24 +387,17 @@ def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     Integrates until |v_z| falls below vz_floor and returns that time; used
     to cross-check the closed-form breakdown time independently.
     """
-    from scipy.integrate import solve_ivp
-
     if v0.vz == 0.0:
         return 0.0
     cfg = cfg or IntegratorConfig()
-    m0, k = ch.m0, ch.k
-
-    def rhs(t, v):
-        w1, w2 = tracking_fields_general(ch, CoherenceVector.from_array(v), omega0)
-        return (m0 + control_matrix(omega0, w1, w2)) @ v + k
 
     def hit_floor(t, v):
         return abs(v[2]) - vz_floor
 
     hit_floor.terminal = True
     hit_floor.direction = -1
-    sol = solve_ivp(rhs, (0.0, t_cap), v0.as_array(), method="RK45",
-                    rtol=cfg.rtol, atol=cfg.atol, events=hit_floor)
+    sol = solve_ivp(_feedback_rhs(ch, omega0), (0.0, t_cap), v0.as_array(),
+                    method="RK45", rtol=cfg.rtol, atol=cfg.atol, events=hit_floor)
     if sol.t_events[0].size:
         return float(sol.t_events[0][0])
     return math.inf

@@ -175,9 +175,9 @@ class TestChannelConversion:
     def test_axis_labeled_damping_rates(self):
         ch = BlochChannel.dephasing(0.1)
         p = ch.params()
-        assert p.damping_x == p.gamma3 == 0.1
-        assert p.damping_y == p.gamma2 == 0.1
-        assert p.damping_z == p.gamma1 == 0.0
+        assert p.gamma3 == 0.1
+        assert p.gamma2 == 0.1
+        assert p.gamma1 == 0.0
 
     def test_unital_iff_real_entries(self):
         rng = np.random.default_rng(11)

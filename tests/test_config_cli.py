@@ -127,6 +127,17 @@ class TestCLITrajectories:
         assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
                 == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
+    @pytest.mark.parametrize("t_max", [2.0, 10.0])   # before and after t_b = 8.33
+    def test_fields_sampled_on_track_grid(self, tmp_path, t_max):
+        obj = dict(TRACK_CONFIG, t_max=t_max, samples=11)
+        track = write_config(tmp_path, obj, "track.json")
+        fields = write_config(tmp_path, dict(obj, output="fields.csv"), "fields.json")
+        assert main(["--out-dir", str(tmp_path), "track", track]) == 0
+        assert main(["--out-dir", str(tmp_path), "fields", fields]) == 0
+        _, track_rows = read_csv_columns(tmp_path / "trajectory.csv")
+        _, field_rows = read_csv_columns(tmp_path / "fields.csv")
+        assert [row[0] for row in field_rows] == [row[0] for row in track_rows]
+
     def test_fixed_waveform_round_trip(self, tmp_path):
         # Emit tracked fields, then replay them as a fixed waveform.
         cfg_fields = write_config(tmp_path, dict(TRACK_CONFIG, output="fields.csv",

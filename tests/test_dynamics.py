@@ -224,6 +224,14 @@ class TestTrajectoryCSV:
         with pytest.raises(ValidationError, match="row 2"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("cell", ["", "x"])
+    def test_empty_or_non_numeric_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n" + ",".join(["0"] * 9) + "\n"
+                        + ",".join(["0", cell] + ["0"] * 7) + "\n")
+        with pytest.raises(ValidationError, match="row 3: .*'vx'"):
+            read_trajectory_csv(path)
+
     def test_singularity_line_round_trip(self, tmp_path):
         from cohtrack.tracking import classify_singularity, simulate_tracked
 

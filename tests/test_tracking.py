@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohtrack.bloch import BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
-from cohtrack.dynamics import Termination, Trajectory, propagate_bloch
+from cohtrack.dynamics import (
+    IntegratorConfig,
+    Termination,
+    Trajectory,
+    propagate_bloch,
+)
 from cohtrack.errors import (
     DomainError,
     PastBreakdownError,
@@ -186,6 +191,29 @@ class TestSimulateTracked:
         assert traj.termination.kind == "horizon"
         assert np.max(np.abs(traj.v[:, 0] - V0.vx)) <= 1e-6
         assert np.max(np.abs(traj.v[:, 1] - V0.vy)) <= 1e-6
+
+    def test_fixed_rk4_feedback_past_breakdown_ends_invalid(self):
+        # RK4 stages leave the Bloch ball near breakdown; the run must end
+        # `invalid` at a grid point rather than raise from inside the solver.
+        m0 = np.diag([-GAMMA, -GAMMA, 0.0])
+        m0[0, 1] = m0[1, 0] = 1e-9
+        ch = BlochChannel(m0, np.zeros(3))
+        cfg = IntegratorConfig(method="fixed-RK4", dt=0.05)
+        traj = simulate_tracked(ch, V0, OMEGA0, t_max=10.0, cfg=cfg, n_samples=101)
+        assert traj.termination.kind == "invalid"
+        assert T_B < traj.termination.time < 10.0
+        assert traj.termination.time == np.linspace(0.0, 10.0, 101)[len(traj.t)]
+        assert np.all(np.sum(traj.v**2, axis=1) <= 1.0 + 1e-9)
+
+    def test_feedback_path_rejects_nonpositive_horizon(self):
+        ch = BlochChannel(np.diag([-GAMMA, -1.2 * GAMMA, 0.0]), np.zeros(3))
+        with pytest.raises(DomainError, match="t_max"):
+            simulate_tracked(ch, V0, OMEGA0, t_max=0.0)
+
+    def test_feedback_fields_accept_raw_arrays(self):
+        v = V0.as_array()
+        assert tracking_fields_general(DEPHASING, v, OMEGA0) == \
+            tracking_fields_general(DEPHASING, V0, OMEGA0)
 
     def test_detect_breakdown_matches_closed_form(self):
         detected = detect_breakdown(DEPHASING, V0, OMEGA0, t_cap=12.0)
