@@ -71,6 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _load_scenario(path: str) -> ScenarioConfig:
     try:
         return ScenarioConfig.load(path)
@@ -143,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "free":
             return _cmd_run(args, ("free",))

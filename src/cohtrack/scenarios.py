@@ -23,7 +23,7 @@ from .equivalence import (
     transform_channel,
     transform_state,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .svgplot import FIELDS_HEADER, read_csv_columns
 from .tracking import (
     _is_dephasing_form,
@@ -102,10 +102,7 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
     dephasing, gamma = _is_dephasing_form(cfg.channel.to_bloch_channel())
     if not dephasing:
         raise ConfigError("fields emission requires a pure-dephasing channel")
-    v0 = cfg.initial_state.v
-    if v0.vz == 0.0:
-        raise DomainError("v_z(0) = 0: no control is possible")
-    w = tracked_waveform(v0, gamma, cfg.control.omega0, cfg.control.omega_max)
+    w = tracked_waveform(cfg.initial_state.v, gamma, cfg.control.omega0, cfg.control.omega_max)
     grid, _ = _output_grid(cfg.t_max, w.t_end, cfg.samples)
     row = ",".join(["%.17g"] * len(FIELDS_HEADER))
     lines = [",".join(FIELDS_HEADER)]

@@ -16,10 +16,7 @@ WIDTH, HEIGHT = 720.0, 540.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72.0, 24.0, 24.0, 52.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
-TRAJECTORY_HEADER = ["t", "vx", "vy", "vz", "purity", "coherence",
-                     "omega0", "omega1", "omega2"]
 FIELDS_HEADER = ["t", "omega0", "omega1", "omega2"]
-SWEEP_HEADER = ["c", "p", "t_b"]
 
 
 def read_csv_columns(path) -> tuple[list[str], list[list[float | None]]]:

@@ -10,7 +10,7 @@ diverge like (t_b - t)^(-1/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -50,14 +50,8 @@ BREAKDOWN_GUARD = 1e-6   # closed-form synthesis refuses t >= t_b * (1 - guard)
 EPS_DENOMINATOR = 1e-10
 EPS_NUMERATOR = 1e-8
 VZ_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class TrackingObjective:
-    """Linearized targets S1 = v_x(0), S2 = v_y(0) held by the controller."""
-
-    s1: float
-    s2: float
+TRIVIAL_RUN_LENGTH = 10  # consecutive zero denominators that make a singularity trivial
+DETECT_VZ_FLOOR = 1e-3   # |v_z| at which `detect_breakdown` stops
 
 
 @dataclass(frozen=True)
@@ -85,22 +79,19 @@ class TrackingSolution:
     v0: CoherenceVector
     gamma: float
     omega0: float
+    _terms: _DephasingTerms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.v0.vz == 0.0:
-            raise DomainError(
-                "v_z(0) = 0: coherence equals purity and no control is possible"
-            )
+        object.__setattr__(self, "_terms",
+                           _dephasing_terms(self.v0, self.gamma, self.omega0))
 
     @property
     def sign(self) -> int:
-        return 1 if self.v0.vz > 0 else -1
+        return int(self._terms.sign)
 
     @property
     def t_b(self) -> float:
-        return breakdown_time(self.v0, self.gamma)
+        return self._terms.t_b
 
     def vz(self, t: float) -> float:
         return vz_tracked(self.v0, self.gamma, t)
@@ -125,16 +116,12 @@ def breakdown_time(v0: CoherenceVector, gamma: float) -> float:
 
 def vz_tracked(v0: CoherenceVector, gamma: float, t: float) -> float:
     """Tracked z-component s * sqrt(v_z(0)^2 - 2 gamma c t) on [0, t_b]."""
-    if v0.vz == 0.0:
-        raise DomainError("v_z(0) = 0: tracked solution undefined")
+    terms = _dephasing_terms(v0, gamma, 0.0)
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    t_b = breakdown_time(v0, gamma)
-    if t > t_b:
-        raise PastBreakdownError(t, t_b)
-    s = 1.0 if v0.vz > 0 else -1.0
-    radicand = max(0.0, v0.vz**2 - 2.0 * gamma * coherence(v0) * t)
-    return s * math.sqrt(radicand)
+    if t > terms.t_b:
+        raise PastBreakdownError(t, terms.t_b)
+    return terms.vz(t)
 
 
 def tracking_rhs(ch: BlochChannel, v: CoherenceVector) -> float:
@@ -154,12 +141,15 @@ def tracking_rhs(ch: BlochChannel, v: CoherenceVector) -> float:
 
 @dataclass(frozen=True)
 class _DephasingTerms:
-    """Per-trajectory constants of the closed-form dephasing fields.
+    """The closed-form dephasing solution from one state, time counted from it.
 
-    omega_i(t) = num_i / sqrt(vz0_sq - two_gamma_c * t), the sign of v_z(0)
-    folded into num_i; times from guard_end = t_b (1 - guard) on are refused.
+    v_z(t) = sign sqrt(radicand(t)) with radicand(t) = vz0_sq - two_gamma_c t,
+    and omega_i(t) = num_i / sqrt(radicand(t)), the sign folded into num_i.
+    `radicand` has no guard; `denominator` and `fields` refuse times from
+    guard_end = t_b (1 - guard) on.
     """
 
+    sign: float
     num1: float
     num2: float
     vz0_sq: float
@@ -167,20 +157,32 @@ class _DephasingTerms:
     t_b: float
     guard_end: float
 
+    def radicand(self, t: float) -> float:
+        return self.vz0_sq - self.two_gamma_c * t
+
+    def vz(self, t: float) -> float:
+        return self.sign * math.sqrt(max(0.0, self.radicand(t)))
+
     def denominator(self, t: float) -> float:
         if t >= self.guard_end:
             raise PastBreakdownError(t, self.t_b)
-        return math.sqrt(self.vz0_sq - self.two_gamma_c * t)
+        return math.sqrt(self.radicand(t))
 
     def fields(self, t: float) -> tuple[float, float]:
-        denom = self.denominator(t)
+        return self.fields_over(self.denominator(t))
+
+    def fields_over(self, denom: float) -> tuple[float, float]:
         return self.num1 / denom, self.num2 / denom
 
 
 def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float) -> _DephasingTerms:
+    """Checks gamma >= 0 and v_z(0) != 0 and builds the closed-form terms."""
     t_b = breakdown_time(v0, gamma)
+    if v0.vz == 0.0:
+        raise DomainError("v_z(0) = 0: no control is possible")
     s = 1.0 if v0.vz > 0 else -1.0
     return _DephasingTerms(
+        sign=s,
         num1=s * (-gamma * v0.vy + omega0 * v0.vx),
         num2=s * (-gamma * v0.vx - omega0 * v0.vy),
         vz0_sq=v0.vz**2,
@@ -193,22 +195,19 @@ def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float) -> _Depha
 def tracking_fields_dephasing(v0: CoherenceVector, gamma: float, omega0: float,
                               t: float) -> tuple[float, float]:
     """Closed-form in-plane fields holding v_x, v_y constant under dephasing."""
-    if v0.vz == 0.0:
-        raise DomainError("v_z(0) = 0: no control is possible")
+    terms = _dephasing_terms(v0, gamma, omega0)
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    return _dephasing_terms(v0, gamma, omega0).fields(t)
+    return terms.fields(t)
 
 
-def _general_numerators(ch: BlochChannel, v: np.ndarray, omega0: float,
-                        s1dot: float, s2dot: float) -> tuple[float, float]:
+def _general_numerators(ch: BlochChannel, v: np.ndarray,
+                        omega0: float) -> tuple[float, float]:
     m0, k = ch.m0, ch.k
-    n1 = (-s2dot
-          - omega0 * float(v @ (LAMBDA_0 @ O_2 - O_2 @ LAMBDA_0) @ v)
+    n1 = (-omega0 * float(v @ (LAMBDA_0 @ O_2 - O_2 @ LAMBDA_0) @ v)
           + float(v @ (m0 @ O_2 + O_2 @ m0) @ v)
           + float(k @ O_2 @ v) + float(v @ O_2 @ k))
-    n2 = (-s1dot
-          - omega0 * float(v @ (LAMBDA_0 @ O_1 - O_1 @ LAMBDA_0) @ v)
+    n2 = (-omega0 * float(v @ (LAMBDA_0 @ O_1 - O_1 @ LAMBDA_0) @ v)
           + float(v @ (m0 @ O_1 + O_1 @ m0) @ v)
           + float(k @ O_1 @ v) + float(v @ O_1 @ k))
     return n1, n2
@@ -221,26 +220,25 @@ def _general_denominators(v: np.ndarray) -> tuple[float, float]:
 
 
 def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
-                            omega0: float, s1dot: float = 0.0,
-                            s2dot: float = 0.0) -> tuple[float, float]:
-    """In-plane fields enforcing dS1/dt = s1dot, dS2/dt = s2dot for any channel.
+                            omega0: float) -> tuple[float, float]:
+    """In-plane fields holding S1 = v_x^2 and S2 = v_y^2 constant for any channel.
 
-    Solves the quadratic-objective rate equations for omega1 and omega2; on
-    the pure-dephasing channel with zero target rates this reproduces
+    Solves the quadratic-objective rate equations dS1/dt = dS2/dt = 0 for
+    omega1 and omega2; on the pure-dephasing channel this reproduces
     `tracking_fields_dephasing` exactly. `v` may be a raw (3,) array, which
     is not checked against the Bloch ball: integrator stages can leave it.
     """
     arr = v.as_array() if isinstance(v, CoherenceVector) else v
     d1, d2 = _general_denominators(arr)
     if abs(d1) <= 1e-12 or abs(d2) <= 1e-12:
-        n1, n2 = _general_numerators(ch, arr, omega0, s1dot, s2dot)
+        n1, n2 = _general_numerators(ch, arr, omega0)
         report = SingularityReport("nontrivial-a" if max(abs(n1), abs(n2)) > EPS_NUMERATOR
                                    else "nontrivial-b",
                                    t=math.nan, d1=d1, d2=d2, n1=n1, n2=n2)
         raise SingularPointError(
             f"vanishing field denominator (D1={d1:.3e}, D2={d2:.3e})", report
         )
-    n1, n2 = _general_numerators(ch, arr, omega0, s1dot, s2dot)
+    n1, n2 = _general_numerators(ch, arr, omega0)
     return n1 / d1, n2 / d2
 
 
@@ -274,7 +272,6 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     each in-plane field is clamped independently once it would exceed the
     level, and the waveform is defined for all times (the fields saturate).
     """
-    TrackingSolution(v0, gamma, omega0)   # validates gamma and v_z(0)
     terms = _dephasing_terms(v0, gamma, omega0)
     guard_end = None if math.isinf(terms.t_b) else terms.guard_end
 
@@ -305,7 +302,6 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
 def clip_time(v0: CoherenceVector, gamma: float, omega0: float,
               omega_max: float) -> float:
     """First time at which either in-plane tracked field reaches omega_max."""
-    TrackingSolution(v0, gamma, omega0)   # validates gamma and v_z(0)
     terms = _dephasing_terms(v0, gamma, omega0)
     times = []
     for num in (terms.num1, terms.num2):
@@ -380,11 +376,10 @@ def _feedback_rhs(ch: BlochChannel, omega0: float):
 
 
 def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
-                     t_cap: float, vz_floor: float = 1e-3,
-                     cfg: IntegratorConfig | None = None) -> float:
+                     t_cap: float, cfg: IntegratorConfig | None = None) -> float:
     """Numerically detect breakdown by running the state-feedback controller.
 
-    Integrates until |v_z| falls below vz_floor and returns that time; used
+    Integrates until |v_z| falls below DETECT_VZ_FLOOR and returns that time; used
     to cross-check the closed-form breakdown time independently.
     """
     if v0.vz == 0.0:
@@ -392,7 +387,7 @@ def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     cfg = cfg or IntegratorConfig()
 
     def hit_floor(t, v):
-        return abs(v[2]) - vz_floor
+        return abs(v[2]) - DETECT_VZ_FLOOR
 
     hit_floor.terminal = True
     hit_floor.direction = -1
@@ -403,15 +398,13 @@ def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     return math.inf
 
 
-def classify_singularity(traj: Trajectory, ch: BlochChannel,
-                         eps_d: float = EPS_DENOMINATOR,
-                         eps_n: float = EPS_NUMERATOR,
-                         run_length: int = 10) -> SingularityReport:
+def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityReport:
     """Classify zeros of the field-formula denominators along a trajectory.
 
-    `trivial` means a denominator vanishes over >= run_length consecutive
-    samples; an isolated zero is `nontrivial-a` (finite numerator, no field
-    solution) or `nontrivial-b` (0/0, a limit may exist). A trajectory that
+    A denominator is zero where |D| <= EPS_DENOMINATOR. `trivial` means one
+    vanishes over >= TRIVIAL_RUN_LENGTH consecutive samples; an isolated zero
+    is `nontrivial-a` (numerator above EPS_NUMERATOR, no field solution) or
+    `nontrivial-b` (0/0, a limit may exist). A trajectory that
     terminated with breakdown contributes a virtual sample at t_b with
     v_z = 0.
     """
@@ -427,15 +420,15 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel,
     # quadratic forms of `_general_denominators` that give the reported values
     # are NaN, never zero, when any component is not finite.
     finite = np.all(np.isfinite(vs), axis=1)
-    zero1 = finite & (np.abs(2.0 * vs[:, 1] * vs[:, 2]) <= eps_d)
-    zero2 = finite & (np.abs(2.0 * vs[:, 0] * vs[:, 2]) <= eps_d)
+    zero1 = finite & (np.abs(2.0 * vs[:, 1] * vs[:, 2]) <= EPS_DENOMINATOR)
+    zero2 = finite & (np.abs(2.0 * vs[:, 0] * vs[:, 2]) <= EPS_DENOMINATOR)
 
     def report(cls, j, note=""):
         d1, d2 = _general_denominators(vs[j])
-        n1, n2 = _general_numerators(ch, vs[j], w0s[j], 0.0, 0.0)
+        n1, n2 = _general_numerators(ch, vs[j], w0s[j])
         if cls is None:   # isolated zero: classify by the vanishing rows' numerators
             mags = [abs(n) for n, zero in ((n1, zero1[j]), (n2, zero2[j])) if zero]
-            cls = "nontrivial-a" if max(mags) > eps_n else "nontrivial-b"
+            cls = "nontrivial-a" if max(mags) > EPS_NUMERATOR else "nontrivial-b"
         return SingularityReport(cls, t=float(ts[j]), d1=d1, d2=d2, n1=n1, n2=n2,
                                  note=note)
 
@@ -445,7 +438,7 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel,
         starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
         if len(starts):
             k = int(np.argmax(ends - starts))
-            if ends[k] - starts[k] >= run_length:
+            if ends[k] - starts[k] >= TRIVIAL_RUN_LENGTH:
                 start = int(starts[k])
                 return report("trivial", start,
                               "no control possible" if start == 0 else "")
@@ -485,40 +478,31 @@ def coherence_ramp_schedule(v0: CoherenceVector, gamma: float, schedule,
             raise DomainError("coherence targets must be strictly decreasing")
     if any(c < 0 for _, c in entries):
         raise DomainError("coherence targets must be non-negative")
-    if v0.vz == 0.0 and c0 > 0:
-        raise DomainError("v_z(0) = 0: no control is possible")
 
-    s = 1.0 if v0.vz >= 0 else -1.0
-    segments = []   # (t_start, x, y, vz_entry, c)
-    x, y, vz = v0.vx, v0.vy, v0.vz
-    t_end = None
+    segments = []   # (t_start, terms of the re-aimed state at t_start)
+    v = v0
     for i, (t_i, c_i) in enumerate(entries):
         if i > 0:
-            prev_c = entries[i - 1][1]
-            r = math.sqrt(c_i / prev_c) if prev_c > 0 else 0.0
-            x, y = x * r, y * r
-        segments.append((t_i, x, y, vz, c_i))
-        local_tb = math.inf if (gamma == 0.0 or c_i == 0.0) else vz**2 / (2.0 * gamma * c_i)
+            r = math.sqrt(c_i / entries[i - 1][1])
+            v = CoherenceVector(v.vx * r, v.vy * r, terms.vz(duration))
+        terms = _dephasing_terms(v, gamma, omega0)
+        segments.append((t_i, terms))
         if i + 1 < len(entries):
             duration = entries[i + 1][0] - t_i
-            if duration >= local_tb:
-                raise ScheduleInfeasibleError(i, duration, local_tb)
-            vz = s * math.sqrt(vz**2 - 2.0 * gamma * c_i * duration)
-        else:
-            t_end = None if math.isinf(local_tb) else t_i + local_tb * (1.0 - BREAKDOWN_GUARD)
+            if duration >= terms.t_b:
+                raise ScheduleInfeasibleError(i, duration, terms.t_b)
 
-    starts = [seg[0] for seg in segments]
+    starts = [t_i for t_i, _ in segments]
 
     def fields(t):
         i = max(0, np.searchsorted(starts, t, side="right") - 1)
-        t_i, x_i, y_i, vz_i, c_i = segments[i]
-        tau = t - t_i
-        radicand = vz_i**2 - 2.0 * gamma * c_i * tau
+        t_i, terms = segments[i]
+        # A non-final segment runs up to its own t_b; only the last one stops
+        # at its guard end (the waveform's t_end).
+        radicand = terms.radicand(t - t_i)
         if radicand <= 0:
-            raise PastBreakdownError(t, t_i + vz_i**2 / (2.0 * gamma * c_i))
-        denom = math.sqrt(radicand)
-        w1 = s * (-gamma * y_i + omega0 * x_i) / denom
-        w2 = s * (-gamma * x_i - omega0 * y_i) / denom
-        return (omega0, w1, w2)
+            raise PastBreakdownError(t, t_i + terms.t_b)
+        return (omega0, *terms.fields_over(math.sqrt(radicand)))
 
-    return ControlWaveform.closed_form(fields, t_end=t_end, breakpoints=starts[1:])
+    return ControlWaveform.closed_form(fields, t_end=starts[-1] + terms.guard_end,
+                                       breakpoints=starts[1:])

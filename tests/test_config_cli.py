@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cohtrack import cli
 from cohtrack.cli import main
 from cohtrack.config import ScenarioConfig, SweepSpec
 from cohtrack.dynamics import read_trajectory_csv
@@ -151,6 +152,28 @@ class TestCLITrajectories:
         traj = read_trajectory_csv(tmp_path / "replayed.csv")
         # Sampled replay of the closed-form fields still holds the coherence.
         assert np.max(np.abs(traj.c - traj.c[0])) <= 1e-4
+
+
+class TestParserReuse:
+    def test_main_does_not_rebuild_the_parser(self, tmp_path, monkeypatch):
+        def rebuilt():
+            raise AssertionError("parser rebuilt")
+        monkeypatch.setattr(cli, "_build_parser", rebuilt)
+        cfg = write_config(tmp_path, FREE_CONFIG)
+        assert main(["--out-dir", str(tmp_path), "free", cfg]) == 0
+
+    def test_consecutive_calls_do_not_share_options(self, tmp_path, monkeypatch):
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfg = write_config(tmp_path, FREE_CONFIG)
+        assert main(["--out-dir", str(out), "free", cfg]) == 0
+        assert main(["free", cfg]) == 0
+        assert sorted(p.name for p in cwd.iterdir()) == ["free.csv"]
+        (cwd / "free.csv").unlink()
+        assert main(["--out-dir", str(out / "b"), "free", cfg]) == 0
+        assert list(cwd.iterdir()) == []
+        assert (out / "free.csv").read_bytes() == (out / "b" / "free.csv").read_bytes()
 
 
 class TestCLISweepAndPlots:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohtrack.bloch import BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
+from cohtrack.bloch import (
+    BlochChannel,
+    CoherenceVector,
+    GKSMatrix,
+    coherence,
+    gks_to_channel,
+)
 from cohtrack.dynamics import (
     IntegratorConfig,
     Termination,
@@ -119,6 +125,12 @@ class TestFieldSynthesis:
 
     def test_magnitude_reference_value(self):
         assert abs(omega_magnitude_sq(V0, GAMMA, OMEGA0, 0.0) - 25.606) <= 1e-9
+
+    def test_magnitude_equator_start_rejected(self):
+        eq = CoherenceVector(0.5, 0.5, 0.0)
+        with pytest.raises(DomainError, match="no control is possible") as exc:
+            omega_magnitude_sq(eq, GAMMA, OMEGA0, 0.0)
+        assert type(exc.value) is DomainError
 
     @given(st.floats(0.05, 0.6), st.floats(-0.6, 0.6), st.floats(-0.6, 0.6),
            st.floats(0.0, 0.5), st.floats(-4.0, 4.0))
@@ -297,7 +309,7 @@ def _classify_per_sample(traj, ch, eps_d=1e-10, eps_n=1e-8, run_length=10):
     d1s, d2s, n1s, n2s = [], [], [], []
     for v, w0 in zip(vs, w0s):
         d1, d2 = _general_denominators(v)
-        n1, n2 = _general_numerators(ch, v, w0, 0.0, 0.0)
+        n1, n2 = _general_numerators(ch, v, w0)
         d1s.append(d1)
         d2s.append(d2)
         n1s.append(n1)
@@ -392,13 +404,37 @@ def test_classification_matches_per_sample_loop(case):
 
 
 class TestRampSchedule:
-    def test_single_segment_matches_plain_tracking(self):
-        w = coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3)], omega0=OMEGA0)
-        for t in (0.0, 1.0, 4.0):
-            plain = tracking_fields_dephasing(V0, GAMMA, OMEGA0, t)
-            stepped = w(t)
-            assert abs(stepped[1] - plain[0]) <= 1e-12
-            assert abs(stepped[2] - plain[1]) <= 1e-12
+    @given(st.floats(0.05, 0.9), st.booleans(), st.floats(-0.6, 0.6),
+           st.floats(-0.6, 0.6), st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           st.floats(-4.0, 4.0))
+    @settings(max_examples=100)
+    def test_single_segment_matches_plain_tracking(self, vz, up, vx, vy, gamma, omega0):
+        if vx**2 + vy**2 + vz**2 > 1.0:
+            return
+        v0 = CoherenceVector(vx, vy, vz if up else -vz)
+        ramp = coherence_ramp_schedule(v0, gamma, [(0.0, coherence(v0))], omega0=omega0)
+        plain = tracked_waveform(v0, gamma, omega0)
+        assert ramp.t_end == plain.t_end
+        horizon = 10.0 if plain.t_end is None else plain.t_end
+        for frac in (0.0, 0.25, 0.5, 0.9, 0.999):
+            t = frac * horizon
+            assert np.array_equal(ramp(t), plain(t))
+
+    def test_non_final_segment_runs_inside_its_guard_window(self):
+        # The first segment ends past t_b (1 - guard) but before t_b.
+        t_b = breakdown_time(V0, GAMMA)
+        w = coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3), (t_b * (1 - 1e-7), 0.1)])
+        assert np.all(np.isfinite(w(t_b * (1 - 5e-7))))
+
+    def test_origin_state_rejected_when_built(self):
+        with pytest.raises(DomainError, match="no control is possible"):
+            coherence_ramp_schedule(CoherenceVector(0.0, 0.0, 0.0), 0.1, [(0.0, 0.0)])
+
+    @pytest.mark.parametrize("schedule", [[(0.0, 0.3)], [(0.0, 0.3), (2.0, 0.2)]])
+    def test_negative_rate_rejected_when_built(self, schedule):
+        with pytest.raises(DomainError, match="gamma must be >= 0") as exc:
+            coherence_ramp_schedule(V0, -0.1, schedule)
+        assert type(exc.value) is DomainError
 
     def test_stepping_target_down_reduces_peak_fields(self):
         # Re-aiming to a lower coherence at 0.8 t_b keeps the fields finite
