@@ -202,8 +202,9 @@ def _output_grid(t_max: float, t_end: float | None,
     return grid, Termination("horizon")
 
 
-def _fields_on_grid(w: ControlWaveform, grid: np.ndarray) -> np.ndarray:
-    return np.array([w(t) for t in grid])
+def _fields_on_grid(fields, grid: np.ndarray) -> np.ndarray:
+    """(len(grid), 3) table of a raw field function on a grid inside its domain."""
+    return np.array([fields(t) for t in grid.tolist()], dtype=float)
 
 
 def _trajectory(grid: np.ndarray, vs: np.ndarray, n_ok: int, cfg: IntegratorConfig,
@@ -218,13 +219,17 @@ def _trajectory(grid: np.ndarray, vs: np.ndarray, n_ok: int, cfg: IntegratorConf
     samples.
     """
     norm_cap = 1.0 + 10.0 * cfg.rtol
-    for i in range(n_ok):
-        if not np.all(np.isfinite(vs[i])) or float(vs[i] @ vs[i]) > norm_cap**2:
-            end, n_ok = Termination("invalid", float(grid[i])), max(1, i)
-            break
-    else:
-        if n_ok < len(grid):
-            end = Termination("invalid", float(grid[n_ok]))
+    head = vs[:n_ok]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Row by row the dot kernel of `v @ v`; another summation order can
+        # round to the other side of the cap.
+        norm_sq = np.matmul(head[:, None, :], head[:, :, None])[:, 0, 0]
+    bad = np.flatnonzero(~np.all(np.isfinite(head), axis=1) | (norm_sq > norm_cap**2))
+    if len(bad):
+        i = int(bad[0])
+        end, n_ok = Termination("invalid", float(grid[i])), max(1, i)
+    elif n_ok < len(grid):
+        end = Termination("invalid", float(grid[n_ok]))
     grid, vs = grid[:n_ok], vs[:n_ok]
     c = vs[:, 0] ** 2 + vs[:, 1] ** 2
     return Trajectory(grid, vs, c + vs[:, 2] ** 2, c, fields(grid, vs), end)
@@ -242,12 +247,13 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     """
     cfg = cfg or IntegratorConfig()
     grid, end = _output_grid(t_max, w.t_end, n_samples)
+    fields = w.unchecked()   # every time below lies in [0, grid[-1]]
     m0, k = ch.m0, ch.k
 
     def rhs(t, v):
         # M(t) v written out as the cross product with (omega1, -omega2, omega0)
         # to avoid building the control matrix at every evaluation.
-        w0, w1, w2 = w(t)
+        w0, w1, w2 = fields(t)
         dv = m0 @ v + k
         dv[0] += -w0 * v[1] - w2 * v[2]
         dv[1] += w0 * v[0] - w1 * v[2]
@@ -255,7 +261,7 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
         return dv
 
     ys, n_ok = _integrate(rhs, v0.as_array(), grid, cfg, w.breakpoints)
-    return _trajectory(grid, ys, n_ok, cfg, end, lambda g, _: _fields_on_grid(w, g))
+    return _trajectory(grid, ys, n_ok, cfg, end, lambda g, _: _fields_on_grid(fields, g))
 
 
 def lindblad_apply(a: GKSMatrix, rho: DensityMatrix) -> np.ndarray:
@@ -273,6 +279,7 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
     """
     cfg = cfg or IntegratorConfig()
     grid, end = _output_grid(t_max, w.t_end, n_samples)
+    fields = w.unchecked()   # every time below lies in [0, grid[-1]]
     # Precompute the dissipator as a 4x4 superoperator on the row-major
     # vectorization: vec(F_i x F_j) = (F_i kron F_j^t) vec(x).
     eye = np.eye(2)
@@ -287,9 +294,16 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
                                  - 0.5 * np.kron(fjfi, eye)
                                  - 0.5 * np.kron(eye, fjfi.T))
 
+    # The generator of the last field triple; a piecewise-constant waveform
+    # returns the same triple object all along a segment.
+    last, gen = None, None
+
     def rhs(t, y):
-        w0, w1, w2 = w(t)
-        gen = dissipator + w0 * _COMM_Z + w1 * _COMM_X + w2 * _COMM_MY
+        nonlocal last, gen
+        triple = fields(t)
+        if triple is not last:
+            w0, w1, w2 = triple
+            last, gen = triple, dissipator + w0 * _COMM_Z + w1 * _COMM_X + w2 * _COMM_MY
         return gen @ y
 
     y0 = rho0.matrix.ravel().astype(complex)
@@ -298,7 +312,7 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
     for i in range(n_ok):
         rho = ys[i].reshape(2, 2)
         vs[i] = [np.trace(rho @ s).real for s in PAULIS]
-    return _trajectory(grid, vs, n_ok, cfg, end, lambda g, _: _fields_on_grid(w, g))
+    return _trajectory(grid, vs, n_ok, cfg, end, lambda g, _: _fields_on_grid(fields, g))
 
 
 def free_dephasing_analytic(gamma: float, v0: CoherenceVector, t: float) -> CoherenceVector:

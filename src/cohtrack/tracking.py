@@ -103,15 +103,17 @@ class TrackingSolution:
 def breakdown_time(v0: CoherenceVector, gamma: float) -> float:
     """Time v_z(0)^2 / (2 gamma c) at which the tracked v_z reaches zero.
 
-    Infinite when gamma = 0 or c = 0 (nothing to counteract); zero when the
-    state starts on the equator (c > 0, v_z(0) = 0).
+    Infinite when gamma = 0 or c = 0 (nothing to counteract) or when
+    2 gamma c underflows to zero (t_b overflows); zero when the state starts
+    on the equator (c > 0, v_z(0) = 0).
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     c = coherence(v0)
-    if gamma == 0.0 or c == 0.0:
+    two_gamma_c = 2.0 * gamma * c
+    if c == 0.0 or two_gamma_c == 0.0:
         return math.inf
-    return v0.vz**2 / (2.0 * gamma * c)
+    return v0.vz**2 / two_gamma_c
 
 
 def vz_tracked(v0: CoherenceVector, gamma: float, t: float) -> float:
@@ -249,7 +251,10 @@ def omega_magnitude_sq(v0: CoherenceVector, gamma: float, omega0: float,
     Equals (gamma^2 + omega0^2) c / (v_z(0)^2 - 2 gamma c t) + omega0^2, which
     matches omega1^2 + omega2^2 + omega0^2 of the synthesized fields.
     """
-    denom = _dephasing_terms(v0, gamma, omega0).denominator(t)
+    terms = _dephasing_terms(v0, gamma, omega0)
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    denom = terms.denominator(t)
     c = coherence(v0)
     return (gamma**2 + omega0**2) * c / denom**2 + omega0**2
 

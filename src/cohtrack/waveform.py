@@ -5,10 +5,16 @@ interpolation, a closed-form rule defined only up to a breakdown time, or a
 piecewise concatenation of segments. Waveforms evaluate to a (3,) float array
 and carry an optional end of domain `t_end` plus `breakpoints` at which the
 fields may be discontinuous (integrators split there).
+
+Calling a waveform checks the time against its domain and the shape of the
+fields. Integrators and field tables, which only evaluate inside
+[0, t_end), check the shape once through `unchecked()` and then call the raw
+field function.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -22,7 +28,10 @@ class ControlWaveform:
     Parameters
     ----------
     func : callable
-        Maps a time t to a length-3 sequence (omega0, omega1, omega2).
+        Maps a time t to a length-3 sequence (omega0, omega1, omega2). A
+        returned sequence must not be changed afterwards: callers may keep
+        it and reuse what they derived from it while the same object comes
+        back.
     t_end : float or None
         End of the domain of definition (exclusive); None means unbounded.
     breakpoints : sequence of float
@@ -45,6 +54,15 @@ class ControlWaveform:
         if w.shape != (3,):
             raise ValidationError(f"waveform must yield 3 fields, got shape {w.shape}")
         return w
+
+    def unchecked(self):
+        """The raw field function, after one checked evaluation at t = 0.
+
+        The function skips the domain and shape checks of `__call__`, so a
+        caller may only evaluate it at times inside [0, t_end).
+        """
+        self(0.0)
+        return self._func
 
     @classmethod
     def zero(cls) -> "ControlWaveform":
@@ -96,10 +114,11 @@ class ControlWaveform:
             )
         if np.any(np.diff(edges) <= 0):
             raise ValidationError("piecewise edges must be strictly increasing")
+        starts, triples = edges.tolist(), [tuple(row) for row in values.tolist()]
+        last = len(triples) - 1
 
         def step(s):
-            i = int(np.clip(np.searchsorted(edges, s, side="right") - 1, 0, len(values) - 1))
-            return values[i]
+            return triples[min(max(bisect.bisect_right(starts, s) - 1, 0), last)]
 
         return cls(step, breakpoints=edges[1:-1])
 

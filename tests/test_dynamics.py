@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cohtrack import dynamics
 from cohtrack.bloch import BlochChannel, CoherenceVector, GKSMatrix, bloch_to_density
 from cohtrack.dynamics import (
     CSV_HEADER,
     FIXED_RK4,
     IntegratorConfig,
     Termination,
+    _trajectory,
     free_dephasing_analytic,
     phase_flip_probability,
     propagate_bloch,
@@ -64,6 +68,37 @@ class TestWaveforms:
         w = ControlWaveform(lambda t: (1.0, 2.0))
         with pytest.raises(ValidationError):
             w(0.0)
+        with pytest.raises(ValidationError):
+            w.unchecked()
+
+    def test_unchecked_returns_the_raw_field_function(self):
+        calls = []
+
+        def func(t):
+            calls.append(t)
+            return (1.0, 2.0, 3.0)
+
+        f = ControlWaveform.closed_form(func, t_end=1.0).unchecked()
+        assert f is func
+        assert calls == [0.0]   # the one checked evaluation
+
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=8, unique=True),
+           st.data())
+    @settings(max_examples=100)
+    def test_piecewise_lookup_matches_searchsorted(self, edges, data):
+        edges = np.sort(np.array(edges))
+        n = len(edges) - 1
+        values = np.arange(3.0 * n).reshape(n, 3)
+        w = ControlWaveform.piecewise_constant(edges, values)
+        fields = w.unchecked()
+        on_edge = data.draw(st.sampled_from(edges.tolist()))
+        inside = data.draw(st.floats(edges[0], edges[-1]))
+        times = [on_edge, inside, edges[-1], edges[-1] + 1.0, edges[0] - 1.0, 0.0]
+        for t in times:
+            i = int(np.clip(np.searchsorted(edges, t, side="right") - 1, 0, n - 1))
+            assert fields(t) == tuple(values[i])
+            if t >= 0:
+                assert np.array_equal(w(t), values[i])
 
 
 class TestPropagateBloch:
@@ -119,6 +154,18 @@ class TestPropagateBloch:
         with pytest.raises(DomainError):
             propagate_bloch(ZERO_CHANNEL, ControlWaveform.zero(), V0, -1.0)
 
+    def test_wrong_field_count_rejected_before_the_solver(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(dynamics, "solve_ivp", no_solver)
+        w = ControlWaveform(lambda t: (1.0, 2.0))
+        with pytest.raises(ValidationError, match="3 fields"):
+            propagate_bloch(ZERO_CHANNEL, w, V0, 1.0)
+        a = GKSMatrix(np.zeros((3, 3), dtype=complex))
+        with pytest.raises(ValidationError, match="3 fields"):
+            propagate_density(a, w, bloch_to_density(V0), 1.0)
+
 
 class TestPropagateDensity:
     def test_identity_on_zero_generator(self):
@@ -146,6 +193,47 @@ class TestPropagateDensity:
         tb = propagate_bloch(ch, w, V0, 2.0, n_samples=21)
         td = propagate_density(a, w, bloch_to_density(V0), 2.0, n_samples=21)
         assert np.max(np.abs(tb.v - td.v)) <= 1e-8
+
+
+def _trajectory_end_by_loop(grid, vs, n_ok, cfg, end):
+    """Reference: the termination scan of `_trajectory`, one sample at a time."""
+    norm_cap = 1.0 + 10.0 * cfg.rtol
+    for i in range(n_ok):
+        if not np.all(np.isfinite(vs[i])) or float(vs[i] @ vs[i]) > norm_cap**2:
+            return Termination("invalid", float(grid[i])), max(1, i)
+    if n_ok < len(grid):
+        end = Termination("invalid", float(grid[n_ok]))
+    return end, n_ok
+
+
+NORM_CAP = 1.0 + 10.0 * IntegratorConfig().rtol
+
+
+class TestTrajectoryScan:
+    GRID = np.linspace(0.0, 1.0, 11)
+
+    @pytest.mark.parametrize("bad, n_ok, end_at, kept", [
+        ({4: [0.1, np.nan, 0.2], 7: [np.inf] * 3}, 11, 4, 4),         # NaN mid-run
+        ({6: [0.6, 0.6, 0.6]}, 11, 6, 6),                              # out of the ball
+        ({5: [NORM_CAP, 0.0, 0.0],
+          6: [np.nextafter(NORM_CAP, 2.0), 0.0, 0.0]}, 11, 6, 6),      # on the cap is kept
+        ({0: [2.0, 0.0, 0.0]}, 11, 0, 1),                              # keeps one sample
+        ({}, 8, 8, 8),                                                 # unreached point
+        ({3: [0.0, 0.0, -1.5]}, 8, 3, 3),                              # bad before unreached
+        ({}, 11, None, 11),                                            # clean run
+    ])
+    def test_end_matches_reference_loop(self, bad, n_ok, end_at, kept):
+        vs = np.tile(V0.as_array(), (len(self.GRID), 1))
+        vs[n_ok:] = np.nan
+        for i, row in bad.items():
+            vs[i] = row
+        cfg, end = IntegratorConfig(), Termination("horizon")
+        traj = _trajectory(self.GRID, vs, n_ok, cfg, end, lambda g, _: np.zeros((len(g), 3)))
+        expected = end if end_at is None else Termination("invalid", float(self.GRID[end_at]))
+        assert (traj.termination, len(traj.t)) == (expected, kept)
+        assert (traj.termination, len(traj.t)) == _trajectory_end_by_loop(
+            self.GRID, vs, n_ok, cfg, end)
+        assert np.array_equal(traj.v, vs[:kept])
 
 
 class TestAnalyticHelpers:

@@ -7,7 +7,9 @@ and the plots drawn from them hold RK45 results, so their hashes hold for
 the numpy and scipy versions they were taken with (2.4.6 and 1.17.1).
 The free, state-feedback and fixed-RK4 CSVs and the density-route samples
 were pinned while each route still ended its runs with its own copy of the
-termination rule.
+termination rule; the Bloch-route samples of the same piecewise case were
+pinned while the integrators still evaluated the fields through the checked
+`ControlWaveform.__call__`.
 """
 
 import hashlib
@@ -16,9 +18,9 @@ import json
 import numpy as np
 import pytest
 
-from cohtrack.bloch import CoherenceVector, GKSMatrix, bloch_to_density
+from cohtrack.bloch import CoherenceVector, GKSMatrix, bloch_to_density, gks_to_channel
 from cohtrack.cli import main
-from cohtrack.dynamics import propagate_density
+from cohtrack.dynamics import propagate_bloch, propagate_density
 from cohtrack.waveform import ControlWaveform
 
 TRACK = {
@@ -71,6 +73,7 @@ GOLDEN = {
     "trajectory.svg": "a9e3a00912b25031fde83cdcb8df7e75822a05b36dbc0bb736160cad7dad78ee",
 }
 DENSITY_PIECEWISE_V = "8aa9edccbf3af420fa2d6730e05c6ab12f18fcacb74aebb5ef72966e800c36d1"
+BLOCH_PIECEWISE_V = "3c7211f7fd63bfffbc080ddd4620a89d1f2e29cbfac52d664b0540a96ed8887b"
 
 
 def produce(out_dir) -> dict:
@@ -110,14 +113,28 @@ def test_output_bytes_match_golden_hash(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == GOLDEN[name]
 
 
+PIECEWISE_GKS = GKSMatrix(np.array([[0.04, 0.01 - 0.02j, 0.0],
+                                    [0.01 + 0.02j, 0.05, 0.01j],
+                                    [0.0, -0.01j, 0.03]]))
+PIECEWISE_V0 = CoherenceVector(0.3, -0.4, 0.6)
+
+
+def piecewise_waveform():
+    return ControlWaveform.piecewise_constant(
+        [0.0, 0.7, 1.3, 2.0], [[1.0, 2.0, -0.5], [-1.5, 0.3, 2.0], [0.5, -2.0, 1.0]])
+
+
 def test_propagate_density_piecewise_golden():
     """The density route on a three-segment piecewise case, pinned by its v bytes."""
-    a = GKSMatrix(np.array([[0.04, 0.01 - 0.02j, 0.0],
-                            [0.01 + 0.02j, 0.05, 0.01j],
-                            [0.0, -0.01j, 0.03]]))
-    w = ControlWaveform.piecewise_constant(
-        [0.0, 0.7, 1.3, 2.0], [[1.0, 2.0, -0.5], [-1.5, 0.3, 2.0], [0.5, -2.0, 1.0]])
-    rho0 = bloch_to_density(CoherenceVector(0.3, -0.4, 0.6))
-    traj = propagate_density(a, w, rho0, 2.0, n_samples=11)
+    rho0 = bloch_to_density(PIECEWISE_V0)
+    traj = propagate_density(PIECEWISE_GKS, piecewise_waveform(), rho0, 2.0, n_samples=11)
     assert traj.termination.kind == "horizon"
     assert hashlib.sha256(traj.v.tobytes()).hexdigest() == DENSITY_PIECEWISE_V
+
+
+def test_propagate_bloch_piecewise_golden():
+    """The Bloch route on the same case, pinned by its v bytes."""
+    _, ch = gks_to_channel(PIECEWISE_GKS)
+    traj = propagate_bloch(ch, piecewise_waveform(), PIECEWISE_V0, 2.0, n_samples=11)
+    assert traj.termination.kind == "horizon"
+    assert hashlib.sha256(traj.v.tobytes()).hexdigest() == BLOCH_PIECEWISE_V

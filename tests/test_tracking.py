@@ -74,6 +74,17 @@ class TestBreakdownTime:
         down = CoherenceVector(V0.vx, V0.vy, -V0.vz)
         assert breakdown_time(down, GAMMA) == breakdown_time(V0, GAMMA)
 
+    def test_infinite_when_two_gamma_c_underflows(self):
+        # gamma and c are positive, but 2 gamma c underflows to zero.
+        v0 = CoherenceVector(6.84606659750733e-09, 0.0, -0.5)
+        gamma = 2.2250738585072014e-308
+        assert 2.0 * gamma * coherence(v0) == 0.0
+        assert breakdown_time(v0, gamma) == math.inf
+        ramp = coherence_ramp_schedule(v0, gamma, [(0.0, coherence(v0))])
+        plain = tracked_waveform(v0, gamma, 0.0)
+        assert ramp.t_end is None and plain.t_end is None
+        assert np.array_equal(ramp(5.0), plain(5.0))
+
 
 class TestTrackedSolution:
     def test_vz_closed_form(self):
@@ -125,6 +136,10 @@ class TestFieldSynthesis:
 
     def test_magnitude_reference_value(self):
         assert abs(omega_magnitude_sq(V0, GAMMA, OMEGA0, 0.0) - 25.606) <= 1e-9
+
+    def test_magnitude_negative_time_rejected(self):
+        with pytest.raises(DomainError, match="t must be >= 0"):
+            omega_magnitude_sq(V0, GAMMA, OMEGA0, -1.0)
 
     def test_magnitude_equator_start_rejected(self):
         eq = CoherenceVector(0.5, 0.5, 0.0)
