@@ -1,7 +1,8 @@
 """Command-line interface producing batch artifacts (CSV tables, SVG plots).
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible scenario (no
-control possible for the requested state/channel), 3 verification failure.
+Exit codes: 0 success, 1 configuration or I/O error (a missing, unreadable or
+undecodable input, an unwritable output), 2 infeasible scenario (no control
+possible for the requested state/channel), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -9,19 +10,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .config import ScenarioConfig, SweepSpec, parse_complex_matrix
+from .config import ScenarioConfig, SweepSpec, parse_complex_matrix, parse_json
 from .equivalence import Unitary2
 from .errors import (
     CohtrackError,
     ConfigError,
     DomainError,
-    PastBreakdownError,
-    ScheduleInfeasibleError,
     ValidationError,
 )
-from .scenarios import emit_fields, equivalence_report, run_scenario, sweep_breakdown
+from .scenarios import (
+    emit_fields,
+    equivalence_report,
+    output_path,
+    run_scenario,
+    sweep_breakdown,
+)
 from .svgplot import emit_plot
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -74,15 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _load_scenario(path: str) -> ScenarioConfig:
-    try:
-        return ScenarioConfig.load(path)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-
-
 def _cmd_run(args, expected_modes: tuple[str, ...]) -> int:
-    cfg = _load_scenario(args.config)
+    cfg = ScenarioConfig.load(args.config)
     if cfg.control.mode not in expected_modes:
         raise ConfigError(f"'{args.command}' requires control mode "
                           f"{' or '.join(map(repr, expected_modes))}, "
@@ -98,28 +95,18 @@ def _cmd_run(args, expected_modes: tuple[str, ...]) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        spec = SweepSpec.load(args.config)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    out_path = sweep_breakdown(spec, args.out_dir)
-    print(f"wrote {out_path}")
+    print(f"wrote {sweep_breakdown(SweepSpec.load(args.config), args.out_dir)}")
     return 0
 
 
 def _cmd_fields(args) -> int:
-    cfg = _load_scenario(args.config)
-    out_path = emit_fields(cfg, args.out_dir)
-    print(f"wrote {out_path}")
+    print(f"wrote {emit_fields(ScenarioConfig.load(args.config), args.out_dir)}")
     return 0
 
 
 def _cmd_equiv(args) -> int:
-    cfg = _load_scenario(args.config)
-    try:
-        rows = json.loads(args.unitary)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"--unitary: invalid JSON: {e}") from None
+    cfg = ScenarioConfig.load(args.config)
+    rows = parse_json(args.unitary, "--unitary")
     try:
         u = Unitary2(parse_complex_matrix(rows, "--unitary"))
     except ValidationError as e:
@@ -129,14 +116,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    out_path = Path(args.output)
-    if not out_path.is_absolute():
-        out_path = Path(args.out_dir) / out_path
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        emit_plot(args.csv, args.kind, out_path)
-    except FileNotFoundError as e:
-        raise ConfigError(f"input CSV not found: {e.filename}") from None
+    out_path = output_path(args.output, args.out_dir)
+    emit_plot(args.csv, args.kind, out_path)
     print(f"wrote {out_path}")
     return 0
 
@@ -145,33 +126,34 @@ def _cmd_verify(args) -> int:
     return 0 if run_suite(args.suite, seed=args.seed) else EXIT_VERIFY
 
 
+_COMMANDS = {
+    "free": lambda args: _cmd_run(args, ("free",)),
+    "track": lambda args: _cmd_run(args, ("track", "fixed")),
+    "sweep": _cmd_sweep,
+    "fields": _cmd_fields,
+    "equiv": _cmd_equiv,
+    "plot": _cmd_plot,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if args.command == "free":
-            return _cmd_run(args, ("free",))
-        if args.command == "track":
-            return _cmd_run(args, ("track", "fixed"))
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "fields":
-            return _cmd_fields(args)
-        if args.command == "equiv":
-            return _cmd_equiv(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, PastBreakdownError, ScheduleInfeasibleError) as e:
+        return _COMMANDS[args.command](args)
+    except DomainError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except FileNotFoundError as e:
+        print(f"error: file not found: {e.filename}", file=sys.stderr)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+    except UnicodeDecodeError as e:
+        print(f"error: input is not {e.encoding} text: {e.reason} at byte {e.start}",
+              file=sys.stderr)
     except CohtrackError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -61,7 +61,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in (FIXED_RK4, ADAPTIVE_RKF45):
-            raise ValidationError(f"unknown integrator method {self.method!r}")
+            raise ValidationError(f"method must be {FIXED_RK4!r} or {ADAPTIVE_RKF45!r}, "
+                                  f"got {self.method!r}")
         if not self.dt > 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if not (0 < self.rtol < 1 and 0 < self.atol < 1):
@@ -381,7 +382,7 @@ def _parse_singularity(spec: str):
 
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory CSV written by write_trajectory_csv."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or wrong header")

@@ -35,9 +35,13 @@ from .tracking import (
 from .waveform import ControlWaveform
 
 
-def _resolve(path: str, out_dir) -> Path:
+def output_path(path, out_dir) -> Path:
+    """Resolve an output path against `out_dir` and create its parent directory."""
     p = Path(path)
-    return p if p.is_absolute() else Path(out_dir) / p
+    if not p.is_absolute():
+        p = Path(out_dir) / p
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
 
 
 def load_fixed_waveform(path) -> ControlWaveform:
@@ -67,8 +71,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:
         else:
             w = load_fixed_waveform(control.waveform_path)
         traj = propagate_bloch(ch, w, v0, cfg.t_max, cfg.integrator, cfg.samples)
-    out_path = _resolve(cfg.output, out_dir)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = output_path(cfg.output, out_dir)
     write_trajectory_csv(traj, out_path)
     return traj, out_path
 
@@ -88,8 +91,7 @@ def sweep_breakdown(spec: SweepSpec, out_dir=".") -> Path:
         for j, p_str in enumerate(p_strs):
             cell = "" if infeasible[i][j] else _fmt(t_b[i][j])
             lines.append(f"{c_str},{p_str},{cell}")
-    out_path = _resolve(spec.output, out_dir)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = output_path(spec.output, out_dir)
     with open(out_path, "w") as f:
         f.write("\n".join(lines) + "\n")
     return out_path
@@ -108,8 +110,7 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
     row = ",".join(["%.17g"] * len(FIELDS_HEADER))
     lines = [",".join(FIELDS_HEADER)]
     lines.extend(row % (t, *fields(t)) for t in grid.tolist())
-    out_path = _resolve(cfg.output, out_dir)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = output_path(cfg.output, out_dir)
     with open(out_path, "w") as f:
         f.write("\n".join(lines) + "\n")
     return out_path

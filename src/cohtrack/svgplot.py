@@ -24,7 +24,7 @@ def read_csv_columns(path) -> tuple[list[str], list[list[float | None]]]:
 
     Malformed rows raise ValidationError naming the offending row number.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     lines = [ln for ln in lines if ln.strip()]
     if not lines:

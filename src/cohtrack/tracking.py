@@ -39,7 +39,7 @@ from .errors import (
     ScheduleInfeasibleError,
     SingularPointError,
 )
-from .waveform import ControlWaveform
+from .waveform import ControlWaveform, segment_index
 
 # Objective matrices: S1 = v^t O1 v = v_x^2, S2 = v^t O2 v = v_y^2.
 # They commute with their paired generator: [O1, L1] = [O2, L2] = 0.
@@ -221,6 +221,17 @@ def _general_denominators(v: np.ndarray) -> tuple[float, float]:
     return d1, d2
 
 
+def _isolated_zero_class(n1: float, n2: float, zero1: bool, zero2: bool) -> str:
+    """Class of an isolated denominator zero, from the vanishing rows' numerators.
+
+    `nontrivial-a` when one of them exceeds EPS_NUMERATOR (no field solves that
+    row), else `nontrivial-b` (0/0, a limit may exist).
+    """
+    if (zero1 and abs(n1) > EPS_NUMERATOR) or (zero2 and abs(n2) > EPS_NUMERATOR):
+        return "nontrivial-a"
+    return "nontrivial-b"
+
+
 def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
                             omega0: float) -> tuple[float, float]:
     """In-plane fields holding S1 = v_x^2 and S2 = v_y^2 constant for any channel.
@@ -232,15 +243,14 @@ def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
     """
     arr = v.as_array() if isinstance(v, CoherenceVector) else v
     d1, d2 = _general_denominators(arr)
-    if abs(d1) <= 1e-12 or abs(d2) <= 1e-12:
-        n1, n2 = _general_numerators(ch, arr, omega0)
-        report = SingularityReport("nontrivial-a" if max(abs(n1), abs(n2)) > EPS_NUMERATOR
-                                   else "nontrivial-b",
+    n1, n2 = _general_numerators(ch, arr, omega0)
+    zero1, zero2 = abs(d1) <= 1e-12, abs(d2) <= 1e-12
+    if zero1 or zero2:
+        report = SingularityReport(_isolated_zero_class(n1, n2, zero1, zero2),
                                    t=math.nan, d1=d1, d2=d2, n1=n1, n2=n2)
         raise SingularPointError(
             f"vanishing field denominator (D1={d1:.3e}, D2={d2:.3e})", report
         )
-    n1, n2 = _general_numerators(ch, arr, omega0)
     return n1 / d1, n2 / d2
 
 
@@ -431,9 +441,8 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityRepor
     def report(cls, j, note=""):
         d1, d2 = _general_denominators(vs[j])
         n1, n2 = _general_numerators(ch, vs[j], w0s[j])
-        if cls is None:   # isolated zero: classify by the vanishing rows' numerators
-            mags = [abs(n) for n, zero in ((n1, zero1[j]), (n2, zero2[j])) if zero]
-            cls = "nontrivial-a" if max(mags) > EPS_NUMERATOR else "nontrivial-b"
+        if cls is None:
+            cls = _isolated_zero_class(n1, n2, zero1[j], zero2[j])
         return SingularityReport(cls, t=float(ts[j]), d1=d1, d2=d2, n1=n1, n2=n2,
                                  note=note)
 
@@ -500,8 +509,7 @@ def coherence_ramp_schedule(v0: CoherenceVector, gamma: float, schedule,
     starts = [t_i for t_i, _ in segments]
 
     def fields(t):
-        i = max(0, np.searchsorted(starts, t, side="right") - 1)
-        t_i, terms = segments[i]
+        t_i, terms = segments[segment_index(starts, t)]
         # A non-final segment runs up to its own t_b; only the last one stops
         # at its guard end (the waveform's t_end).
         radicand = terms.radicand(t - t_i)

@@ -22,6 +22,16 @@ import numpy as np
 from .errors import ValidationError, WaveformDomainError
 
 
+def segment_index(starts, t: float) -> int:
+    """Index of the segment holding t, given the sorted segment start times.
+
+    Segments are closed on the left, so a time on a start belongs to the
+    segment it starts. A time before the first start belongs to the first
+    segment and a time past the last start to the last one.
+    """
+    return max(bisect.bisect_right(starts, t) - 1, 0)
+
+
 class ControlWaveform:
     """Time-dependent control fields (omega0, omega1, omega2).
 
@@ -70,8 +80,8 @@ class ControlWaveform:
 
     @classmethod
     def constant(cls, omega0, omega1=0.0, omega2=0.0) -> "ControlWaveform":
-        w = np.array([omega0, omega1, omega2], dtype=float)
-        if not np.all(np.isfinite(w)):
+        w = (float(omega0), float(omega1), float(omega2))
+        if not all(map(math.isfinite, w)):
             raise ValidationError(f"constant fields must be finite, got {w}")
         return cls(lambda t: w)
 
@@ -114,11 +124,10 @@ class ControlWaveform:
             )
         if np.any(np.diff(edges) <= 0):
             raise ValidationError("piecewise edges must be strictly increasing")
-        starts, triples = edges.tolist(), [tuple(row) for row in values.tolist()]
-        last = len(triples) - 1
+        starts, triples = edges[:-1].tolist(), [tuple(row) for row in values.tolist()]
 
         def step(s):
-            return triples[min(max(bisect.bisect_right(starts, s) - 1, 0), last)]
+            return triples[segment_index(starts, s)]
 
         return cls(step, breakpoints=edges[1:-1])
 

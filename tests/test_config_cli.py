@@ -78,6 +78,18 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="JSON"):
             ScenarioConfig.from_json("{not json")
 
+    def test_unknown_integrator_method_names_the_valid_ones(self):
+        bad = dict(TRACK_CONFIG, integrator={"method": "euler"})
+        with pytest.raises(ConfigError,
+                           match="integrator: method must be 'fixed-RK4' or "
+                                 "'adaptive-RKF45', got 'euler'"):
+            ScenarioConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("key", ["integrator", "channel"])
+    def test_non_object_section_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key}: expected a JSON object"):
+            ScenarioConfig.from_dict(dict(TRACK_CONFIG, **{key: [1]}))
+
     def test_sweep_spec_parse(self):
         spec = SweepSpec.from_dict({
             "gamma": 0.1,
@@ -249,6 +261,51 @@ class TestCLISweepAndPlots:
     def test_missing_plot_input_is_config_error(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "absent.csv"),
                      "-o", str(tmp_path / "x.svg")]) == 1
+
+
+def _missing_waveform(tmp_path):
+    obj = dict(TRACK_CONFIG, control={"mode": "fixed",
+                                      "waveform": str(tmp_path / "absent.csv")})
+    return ["track", write_config(tmp_path, obj)]
+
+
+def _output_is_directory(tmp_path):
+    (tmp_path / "out").mkdir()
+    return ["--out-dir", str(tmp_path), "free",
+            write_config(tmp_path, dict(FREE_CONFIG, output="out"))]
+
+
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(FREE_CONFIG).encode("utf-16"))
+    return ["free", str(path)]
+
+
+def _non_utf8_csv(tmp_path):
+    path = tmp_path / "free.csv"
+    path.write_bytes(b"t,vx\n\xff\xfe,1\n")
+    return ["plot", str(path), "-o", str(tmp_path / "x.svg")]
+
+
+IO_FAULTS = {
+    "missing-waveform-csv": (_missing_waveform, "not found"),
+    "output-is-directory": (_output_is_directory, "directory"),
+    "sweep-config-is-directory": (lambda tmp: ["sweep", str(tmp)], "directory"),
+    "free-config-is-directory": (lambda tmp: ["free", str(tmp)], "directory"),
+    "non-utf8-config": (_non_utf8_config, "utf-8"),
+    "non-utf8-csv": (_non_utf8_csv, "utf-8"),
+    "missing-sweep-config": (lambda tmp: ["sweep", str(tmp / "absent.json")],
+                             "not found"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(IO_FAULTS))
+def test_io_failure_is_one_error_line(tmp_path, capsys, fault):
+    make_argv, wording = IO_FAULTS[fault]
+    assert main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert wording in err
 
 
 class TestCLIEquiv:

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohtrack import dynamics
-from cohtrack.bloch import BlochChannel, CoherenceVector, GKSMatrix, bloch_to_density
+from cohtrack.bloch import (
+    BlochChannel,
+    CoherenceVector,
+    GKSMatrix,
+    bloch_to_density,
+    coherence,
+)
 from cohtrack.dynamics import (
     CSV_HEADER,
     FIXED_RK4,
@@ -24,6 +30,7 @@ from cohtrack.dynamics import (
     write_trajectory_csv,
 )
 from cohtrack.errors import DomainError, ValidationError, WaveformDomainError
+from cohtrack.tracking import coherence_ramp_schedule
 from cohtrack.waveform import ControlWaveform
 
 V0 = CoherenceVector(0.39, 0.39, 1.0 / math.sqrt(2.0))
@@ -99,6 +106,29 @@ class TestWaveforms:
             assert fields(t) == tuple(values[i])
             if t >= 0:
                 assert np.array_equal(w(t), values[i])
+
+        # A coherence ramp starting a segment at 0 and at every |edge|. Without
+        # dephasing each segment's fields are constant, the first segment's
+        # scaled by 2^-k on segment k (the target coherence drops fourfold).
+        starts = np.union1d([0.0], np.abs(edges))
+        v0 = CoherenceVector(0.3, 0.4, 0.5)
+        ramp = coherence_ramp_schedule(v0, 0.0, [(s, coherence(v0) / 4**k)
+                                                 for k, s in enumerate(starts)],
+                                       omega0=1.0).unchecked()
+        first = np.array(ramp(0.0))
+        on_edge = data.draw(st.sampled_from(starts.tolist()))
+        inside = data.draw(st.floats(0.0, starts[-1]))
+        for t in [on_edge, inside, starts[-1], starts[-1] + 1.0, -1.0, 0.0]:
+            k = int(np.clip(np.searchsorted(starts, t, side="right") - 1,
+                            0, len(starts) - 1))
+            got = np.array(ramp(t))
+            assert got[0] == 1.0
+            assert np.allclose(got[1:], first[1:] / 2**k, rtol=1e-12, atol=0.0)
+
+    def test_constant_result_is_not_shared(self):
+        w = ControlWaveform.constant(1.0, 2.0, 3.0)
+        w(0.0)[0] = 9.0
+        assert np.array_equal(w(1.0), [1.0, 2.0, 3.0])
 
 
 class TestPropagateBloch:

@@ -418,6 +418,17 @@ def test_classification_matches_per_sample_loop(case):
     assert got.note == want.note
 
 
+def test_isolated_zero_classified_alike_by_formula_and_classifier():
+    # D1 = 2 v_y v_z vanishes and D2 does not; N1 = 0 over D1 = 0 is 0/0,
+    # while N2 of the regular row is nonzero.
+    v = [0.5, 0.0, 0.5]
+    with pytest.raises(SingularPointError) as exc:
+        tracking_fields_general(DEPHASING, np.array(v), OMEGA0)
+    report = classify_singularity(_table([_GENERIC, v, _GENERIC]), DEPHASING)
+    assert exc.value.report.classification == report.classification == "nontrivial-b"
+    assert (exc.value.report.n1, exc.value.report.n2) == (report.n1, report.n2)
+
+
 class TestRampSchedule:
     @given(st.floats(0.05, 0.9), st.booleans(), st.floats(-0.6, 0.6),
            st.floats(-0.6, 0.6), st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
