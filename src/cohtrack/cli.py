@@ -148,9 +148,6 @@ def main(argv=None) -> int:
         print(f"error: file not found: {e.filename}", file=sys.stderr)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
-    except UnicodeDecodeError as e:
-        print(f"error: input is not {e.encoding} text: {e.reason} at byte {e.start}",
-              file=sys.stderr)
     except CohtrackError as e:
         print(f"error: {e}", file=sys.stderr)
     return EXIT_CONFIG

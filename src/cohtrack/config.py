@@ -1,4 +1,4 @@
-"""Scenario and sweep configuration: strict JSON parsing and serialization.
+"""Scenario and sweep configuration: strict JSON parsing.
 
 The config format is a single JSON document. Unknown fields are rejected at
 every level so that a typo'd parameter name fails loudly instead of silently
@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bloch import BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
-from .dynamics import FIXED_RK4, IntegratorConfig
+from .dynamics import IntegratorConfig
 from .errors import CohtrackError, ConfigError
+from .svgplot import read_text
 
 
 def parse_json(text: str, context: str):
@@ -93,50 +93,28 @@ class ChannelSpec:
             return BlochChannel.dephasing(self.gamma)
         return gks_to_channel(self.gks)[1]
 
-    def to_dict(self) -> dict:
-        if self.kind == "dephasing":
-            return {"type": "dephasing", "gamma": self.gamma}
-        return {"type": "gks", "matrix": complex_matrix_to_json(self.gks.matrix)}
 
-
-@dataclass(frozen=True)
-class InitialStateSpec:
+def initial_state_from_dict(obj, context="initial_state") -> CoherenceVector:
     """Explicit Bloch vector, or (coherence, purity, phase) with v_z = +sqrt(p - c)."""
-
-    form: str                       # "vector" | "polar"
-    v: CoherenceVector
-    c: float | None = None          # raw polar inputs, kept for round-trip
-    p: float | None = None
-    phase: float | None = None
-
-    @classmethod
-    def from_dict(cls, obj, context="initial_state") -> "InitialStateSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{context}: expected a JSON object")
-        if "vx" in obj or "vy" in obj or "vz" in obj:
-            _require_keys(obj, {"vx", "vy", "vz"}, context)
-            try:
-                v = CoherenceVector(_number(_get(obj, "vx", context), f"{context}.vx"),
-                                    _number(_get(obj, "vy", context), f"{context}.vy"),
-                                    _number(_get(obj, "vz", context), f"{context}.vz"))
-            except CohtrackError as e:
-                raise ConfigError(f"{context}: {e}") from None
-            return cls("vector", v)
-        _require_keys(obj, {"coherence", "purity", "phase"}, context)
-        c = _number(_get(obj, "coherence", context), f"{context}.coherence")
-        p = _number(_get(obj, "purity", context), f"{context}.purity")
-        phi = _number(_get(obj, "phase", context), f"{context}.phase")
-        if not (0 <= c <= p <= 1):
-            raise ConfigError(f"{context}: need 0 <= coherence <= purity <= 1, "
-                              f"got coherence={c}, purity={p}")
-        rad = math.sqrt(c)
-        v = CoherenceVector(rad * math.cos(phi), rad * math.sin(phi), math.sqrt(p - c))
-        return cls("polar", v, c=c, p=p, phase=phi)
-
-    def to_dict(self) -> dict:
-        if self.form == "vector":
-            return {"vx": self.v.vx, "vy": self.v.vy, "vz": self.v.vz}
-        return {"coherence": self.c, "purity": self.p, "phase": self.phase}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context}: expected a JSON object")
+    if "vx" in obj or "vy" in obj or "vz" in obj:
+        _require_keys(obj, {"vx", "vy", "vz"}, context)
+        try:
+            return CoherenceVector(_number(_get(obj, "vx", context), f"{context}.vx"),
+                                   _number(_get(obj, "vy", context), f"{context}.vy"),
+                                   _number(_get(obj, "vz", context), f"{context}.vz"))
+        except CohtrackError as e:
+            raise ConfigError(f"{context}: {e}") from None
+    _require_keys(obj, {"coherence", "purity", "phase"}, context)
+    c = _number(_get(obj, "coherence", context), f"{context}.coherence")
+    p = _number(_get(obj, "purity", context), f"{context}.purity")
+    phi = _number(_get(obj, "phase", context), f"{context}.phase")
+    if not (0 <= c <= p <= 1):
+        raise ConfigError(f"{context}: need 0 <= coherence <= purity <= 1, "
+                          f"got coherence={c}, purity={p}")
+    rad = math.sqrt(c)
+    return CoherenceVector(rad * math.cos(phi), rad * math.sin(phi), math.sqrt(p - c))
 
 
 @dataclass(frozen=True)
@@ -174,39 +152,20 @@ class ControlSpec:
         raise ConfigError(f"{context}.mode: must be 'free', 'track' or 'fixed', "
                           f"got {mode!r}")
 
-    def to_dict(self) -> dict:
-        if self.mode == "free":
-            return {"mode": "free"}
-        if self.mode == "track":
-            out = {"mode": "track", "omega0": self.omega0}
-            if self.omega_max is not None:
-                out["omega_max"] = self.omega_max
-            return out
-        return {"mode": "fixed", "waveform": self.waveform_path}
 
-
-_INTEGRATOR_KEYS = {"method", "dt", "rtol", "atol", "max_step"}
+_INTEGRATOR_KEYS = {"method", "dt", "rtol", "atol"}
 
 
 def integrator_from_dict(obj, context="integrator") -> IntegratorConfig:
     _require_keys(obj, _INTEGRATOR_KEYS, context)
     kwargs = {"method": obj["method"]} if "method" in obj else {}
-    for key in ("dt", "rtol", "atol", "max_step"):
+    for key in ("dt", "rtol", "atol"):
         if key in obj:
             kwargs[key] = _number(obj[key], f"{context}.{key}")
     try:
         return IntegratorConfig(**kwargs)
     except CohtrackError as e:
         raise ConfigError(f"{context}: {e}") from None
-
-
-def integrator_to_dict(cfg: IntegratorConfig) -> dict:
-    out = {"method": cfg.method, "rtol": cfg.rtol, "atol": cfg.atol}
-    if cfg.method == FIXED_RK4:
-        out["dt"] = cfg.dt
-    if math.isfinite(cfg.max_step):
-        out["max_step"] = cfg.max_step
-    return out
 
 
 _SCENARIO_KEYS = {"channel", "initial_state", "control", "t_max",
@@ -218,7 +177,7 @@ class ScenarioConfig:
     """A fully validated simulation scenario."""
 
     channel: ChannelSpec
-    initial_state: InitialStateSpec
+    initial_state: CoherenceVector
     control: ControlSpec
     t_max: float
     integrator: IntegratorConfig
@@ -229,7 +188,7 @@ class ScenarioConfig:
     def from_dict(cls, obj) -> "ScenarioConfig":
         _require_keys(obj, _SCENARIO_KEYS, "config")
         channel = ChannelSpec.from_dict(_get(obj, "channel", "config"))
-        state = InitialStateSpec.from_dict(_get(obj, "initial_state", "config"))
+        state = initial_state_from_dict(_get(obj, "initial_state", "config"))
         control = ControlSpec.from_dict(_get(obj, "control", "config"))
         t_max = _number(_get(obj, "t_max", "config"), "t_max")
         if t_max <= 0:
@@ -249,21 +208,7 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-    def to_dict(self) -> dict:
-        return {
-            "channel": self.channel.to_dict(),
-            "initial_state": self.initial_state.to_dict(),
-            "control": self.control.to_dict(),
-            "t_max": self.t_max,
-            "integrator": integrator_to_dict(self.integrator),
-            "samples": self.samples,
-            "output": self.output,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return cls.from_json(read_text(path))
 
 
 _GRID_KEYS = {"min", "max", "count"}
@@ -289,8 +234,6 @@ class GridSpec:
         return cls(lo, hi, count)
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.lo])
         return np.linspace(self.lo, self.hi, self.count)
 
 
@@ -321,4 +264,4 @@ class SweepSpec:
 
     @classmethod
     def load(cls, path) -> "SweepSpec":
-        return cls.from_dict(parse_json(Path(path).read_text(encoding="utf-8"), "sweep"))
+        return cls.from_dict(parse_json(read_text(path), "sweep"))

@@ -25,11 +25,12 @@ from .bloch import (
     lindblad_apply_raw,
 )
 from .errors import DomainError, ValidationError
-from .svgplot import _parse_row
+from .svgplot import _parse_row, read_text
 from .waveform import ControlWaveform
 
 FIXED_RK4 = "fixed-RK4"
 ADAPTIVE_RKF45 = "adaptive-RKF45"
+BREAKDOWN_GUARD = 1e-6   # a run stops sampling t_end * guard short of a domain end
 
 
 def _commutator_superop(h: np.ndarray) -> np.ndarray:
@@ -57,7 +58,6 @@ class IntegratorConfig:
     dt: float = 0.01
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
 
     def __post_init__(self):
         if self.method not in (FIXED_RK4, ADAPTIVE_RKF45):
@@ -97,6 +97,24 @@ class Termination:
 
 
 @dataclass(frozen=True)
+class SingularityReport:
+    """Denominator/numerator diagnostics of the field formulas at a singular time."""
+
+    classification: str        # none | trivial | nontrivial-a | nontrivial-b
+    t: float = math.nan
+    d1: float = math.nan
+    d2: float = math.nan
+    n1: float = math.nan
+    n2: float = math.nan
+    note: str = ""
+
+    def comment_line(self) -> str:
+        return (f"# singularity={self.classification} t={self.t:.17g} "
+                f"D1={self.d1:.17g} D2={self.d2:.17g} "
+                f"N1={self.n1:.17g} N2={self.n2:.17g}")
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Time series of the state, its derived scalars, and the applied fields."""
 
@@ -106,16 +124,13 @@ class Trajectory:
     c: np.ndarray          # (n,)
     omega: np.ndarray      # (n, 3) columns omega0, omega1, omega2
     termination: Termination
-    singularity: object = None  # SingularityReport, attached by tracking code
+    singularity: SingularityReport | None = None   # attached by tracking code
 
     def __post_init__(self):
         if len(self.t) == 0:
             raise ValidationError("trajectory must contain at least one sample")
         if np.any(np.diff(self.t) <= 0):
             raise ValidationError("trajectory times must be strictly increasing")
-
-    def state_at(self, i: int) -> CoherenceVector:
-        return CoherenceVector.from_array(self.v[i])
 
     def with_termination(self, termination: Termination) -> "Trajectory":
         return replace(self, termination=termination)
@@ -174,7 +189,7 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
         if len(targets) == 0 or targets[-1] != b:
             targets = np.append(targets, b)
         sol = solve_ivp(rhs, (a, b), y, method="RK45", t_eval=targets,
-                        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step)
+                        rtol=cfg.rtol, atol=cfg.atol)
         reached = min(sol.y.shape[1], len(sel))
         if reached:
             ys[sel[:reached]] = sol.y[:, :reached].T
@@ -189,14 +204,16 @@ def _output_grid(t_max: float, t_end: float | None,
                  n_samples: int) -> tuple[np.ndarray, Termination]:
     """Uniform output grid on [0, t_max] and the run's normal end.
 
-    A domain end t_end <= t_max truncates the grid below it, and a run that
-    reaches the last kept sample then ends in `breakdown` at t_end.
+    A domain end t_end whose guard cut t_end (1 - BREAKDOWN_GUARD) lies at or
+    before t_max keeps the grid points below the cut, and a run that reaches
+    the last kept sample then ends in `breakdown` at t_end.
     """
     if not t_max > 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
     grid = np.linspace(0.0, t_max, n_samples)
-    if t_end is not None and t_end <= t_max:
-        grid = grid[grid < t_end]
+    cut = math.inf if t_end is None else t_end * (1.0 - BREAKDOWN_GUARD)
+    if cut <= t_max:
+        grid = grid[grid < cut]
         if len(grid) == 0:
             grid = np.array([0.0])
         return grid, Termination("breakdown", float(t_end))
@@ -351,10 +368,6 @@ CSV_HEADER = "t,vx,vy,vz,purity,coherence,omega0,omega1,omega2"
 CSV_ROW = ",".join(["%.17g"] * 9)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory in the documented CSV format (17 significant digits)."""
     data = np.column_stack([traj.t, traj.v, traj.p, traj.c, traj.omega])
@@ -369,8 +382,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def _parse_singularity(spec: str):
     """SingularityReport from the text after `# singularity=`."""
-    from .tracking import SingularityReport   # tracking imports this module
-
     cls, *fields = spec.split(" ")
     values = dict(field.split("=", 1) for field in fields)
     if sorted(values) != ["D1", "D2", "N1", "N2", "t"]:
@@ -382,8 +393,7 @@ def _parse_singularity(spec: str):
 
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory CSV written by write_trajectory_csv."""
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError(f"{path}: missing or wrong header")
     header = CSV_HEADER.split(",")

@@ -135,8 +135,6 @@ def is_dephasing_class(ch: BlochChannel) -> tuple[bool, Rotation3 | None, float 
     """
     if np.linalg.norm(ch.k) > 1e-12:
         return False, None, None
-    if np.max(np.abs(ch.m0 - ch.m0.T)) > 1e-12:
-        return False, None, None
     eigvals, eigvecs = np.linalg.eigh(ch.m0)   # ascending: -gamma, -gamma, 0
     scale = max(1.0, float(np.max(np.abs(eigvals))))
     if abs(eigvals[2]) > 1e-10 * scale:

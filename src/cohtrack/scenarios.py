@@ -9,13 +9,7 @@ import numpy as np
 
 from .bloch import gks_to_channel
 from .config import ScenarioConfig, SweepSpec, complex_matrix_to_json
-from .dynamics import (
-    Trajectory,
-    _fmt,
-    _output_grid,
-    propagate_bloch,
-    write_trajectory_csv,
-)
+from .dynamics import Trajectory, _output_grid, propagate_bloch, write_trajectory_csv
 from .equivalence import (
     Unitary2,
     is_dephasing_class,
@@ -58,7 +52,7 @@ def load_fixed_waveform(path) -> ControlWaveform:
 def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:
     """Execute a scenario and write its trajectory CSV; returns both."""
     ch = cfg.channel.to_bloch_channel()
-    v0 = cfg.initial_state.v
+    v0 = cfg.initial_state
     control = cfg.control
     if control.mode == "track":
         traj = simulate_tracked(ch, v0, control.omega0, cfg.t_max,
@@ -74,6 +68,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:
     out_path = output_path(cfg.output, out_dir)
     write_trajectory_csv(traj, out_path)
     return traj, out_path
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
 
 
 def sweep_breakdown(spec: SweepSpec, out_dir=".") -> Path:
@@ -104,7 +102,7 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
     dephasing, gamma = _is_dephasing_form(cfg.channel.to_bloch_channel())
     if not dephasing:
         raise ConfigError("fields emission requires a pure-dephasing channel")
-    w = tracked_waveform(cfg.initial_state.v, gamma, cfg.control.omega0, cfg.control.omega_max)
+    w = tracked_waveform(cfg.initial_state, gamma, cfg.control.omega0, cfg.control.omega_max)
     grid, _ = _output_grid(cfg.t_max, w.t_end, cfg.samples)
     fields = w.unchecked()   # the grid lies in [0, t_end)
     row = ",".join(["%.17g"] * len(FIELDS_HEADER))
@@ -128,7 +126,7 @@ def equivalence_report(cfg: ScenarioConfig, u: Unitary2) -> dict:
     a_new = transform_channel(a, u)
     _, ch = gks_to_channel(a)
     _, ch_new = gks_to_channel(a_new)
-    v0 = cfg.initial_state.v
+    v0 = cfg.initial_state
     v_new = transform_state(v0, r)
     member, _, gamma = is_dephasing_class(ch)
     member_new, _, gamma_new = is_dephasing_class(ch_new)

@@ -19,14 +19,22 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 FIELDS_HEADER = ["t", "omega0", "omega1", "omega2"]
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise ValidationError naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}: input is not utf-8 text: {e.reason} "
+                                  f"at byte {e.start}") from None
+
+
 def read_csv_columns(path) -> tuple[list[str], list[list[float | None]]]:
     """Read a simulation CSV; empty cells become None, comments are skipped.
 
     Malformed rows raise ValidationError naming the offending row number.
     """
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -233,9 +241,7 @@ def _plot_surface(path):
 
 
 def emit_plot(csv_paths, kind: str, out_path) -> None:
-    """Render one of the three plot kinds to a standalone SVG file."""
-    if isinstance(csv_paths, (str, Path)):
-        csv_paths = [csv_paths]
+    """Render one of the three plot kinds from a list of CSV paths to an SVG file."""
     if kind == "trajectory":
         svg = _plot_curves(csv_paths, ["vz", "vx"])
     elif kind == "fields":

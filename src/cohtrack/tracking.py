@@ -25,7 +25,9 @@ from .bloch import (
     control_matrix,
 )
 from .dynamics import (
+    BREAKDOWN_GUARD,
     IntegratorConfig,
+    SingularityReport,
     Termination,
     Trajectory,
     _integrate,
@@ -46,30 +48,11 @@ from .waveform import ControlWaveform, segment_index
 O_1 = np.diag([1, 0, 0]).astype(int)
 O_2 = np.diag([0, 1, 0]).astype(int)
 
-BREAKDOWN_GUARD = 1e-6   # closed-form synthesis refuses t >= t_b * (1 - guard)
 EPS_DENOMINATOR = 1e-10
 EPS_NUMERATOR = 1e-8
 VZ_FLOOR = 1e-14
 TRIVIAL_RUN_LENGTH = 10  # consecutive zero denominators that make a singularity trivial
 DETECT_VZ_FLOOR = 1e-3   # |v_z| at which `detect_breakdown` stops
-
-
-@dataclass(frozen=True)
-class SingularityReport:
-    """Denominator/numerator diagnostics of the field formulas at a singular time."""
-
-    classification: str        # none | trivial | nontrivial-a | nontrivial-b
-    t: float = math.nan
-    d1: float = math.nan
-    d2: float = math.nan
-    n1: float = math.nan
-    n2: float = math.nan
-    note: str = ""
-
-    def comment_line(self) -> str:
-        return (f"# singularity={self.classification} t={self.t:.17g} "
-                f"D1={self.d1:.17g} D2={self.d2:.17g} "
-                f"N1={self.n1:.17g} N2={self.n2:.17g}")
 
 
 @dataclass(frozen=True)
@@ -282,19 +265,19 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                      omega_max: float | None = None) -> ControlWaveform:
     """Closed-form tracking waveform for a pure-dephasing channel.
 
-    Without a clip level the waveform ends just before t_b (guard factor
-    1 - 1e-6 keeps the fields finite in double precision). With omega_max,
-    each in-plane field is clamped independently once it would exceed the
-    level, and the waveform is defined for all times (the fields saturate).
+    Without a clip level the waveform ends at t_b; its fields refuse times
+    from t_b (1 - BREAKDOWN_GUARD) on, where a run stops sampling, so they
+    stay finite in double precision. With omega_max, each in-plane field is
+    clamped independently once it would exceed the level, and the waveform
+    is defined for all times (the fields saturate).
     """
     terms = _dephasing_terms(v0, gamma, omega0)
-    guard_end = None if math.isinf(terms.t_b) else terms.guard_end
 
     if omega_max is None:
         def fields(t):
             w1, w2 = terms.fields(t)
             return (omega0, w1, w2)
-        return ControlWaveform.closed_form(fields, t_end=guard_end)
+        return ControlWaveform.closed_form(fields, t_end=terms.t_b)
 
     if omega_max <= 0:
         raise DomainError(f"omega_max must be positive, got {omega_max}")
@@ -310,7 +293,7 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                 max(-omega_max, min(omega_max, w1)),
                 max(-omega_max, min(omega_max, w2)))
 
-    breakpoints = (guard_end,) if guard_end is not None else ()
+    breakpoints = () if math.isinf(terms.guard_end) else (terms.guard_end,)
     return ControlWaveform(clipped, breakpoints=breakpoints)
 
 
@@ -348,13 +331,10 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     if dephasing:
         w = tracked_waveform(v0, gamma, omega0, omega_max)
         traj = propagate_bloch(ch, w, v0, t_max, cfg, n_samples)
-        t_b = breakdown_time(v0, gamma)
         if omega_max is not None:
             t_clip = clip_time(v0, gamma, omega0, omega_max)
             if t_clip < t_max and traj.termination.kind == "horizon":
                 traj = traj.with_termination(Termination("clipped", t_clip))
-        elif traj.termination.kind == "breakdown":
-            traj = traj.with_termination(Termination("breakdown", t_b))
         return traj
 
     if omega_max is not None:
@@ -391,15 +371,16 @@ def _feedback_rhs(ch: BlochChannel, omega0: float):
 
 
 def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
-                     t_cap: float, cfg: IntegratorConfig | None = None) -> float:
+                     t_cap: float) -> float:
     """Numerically detect breakdown by running the state-feedback controller.
 
     Integrates until |v_z| falls below DETECT_VZ_FLOOR and returns that time; used
-    to cross-check the closed-form breakdown time independently.
+    to cross-check the closed-form breakdown time independently, at the
+    default tolerances of IntegratorConfig.
     """
     if v0.vz == 0.0:
         return 0.0
-    cfg = cfg or IntegratorConfig()
+    cfg = IntegratorConfig()
 
     def hit_floor(t, v):
         return abs(v[2]) - DETECT_VZ_FLOOR
@@ -510,12 +491,12 @@ def coherence_ramp_schedule(v0: CoherenceVector, gamma: float, schedule,
 
     def fields(t):
         t_i, terms = segments[segment_index(starts, t)]
-        # A non-final segment runs up to its own t_b; only the last one stops
-        # at its guard end (the waveform's t_end).
+        # Every segment runs up to its own t_b, the last one's being the
+        # waveform's t_end; a run stops sampling short of it.
         radicand = terms.radicand(t - t_i)
         if radicand <= 0:
             raise PastBreakdownError(t, t_i + terms.t_b)
         return (omega0, *terms.fields_over(math.sqrt(radicand)))
 
-    return ControlWaveform.closed_form(fields, t_end=starts[-1] + terms.guard_end,
+    return ControlWaveform.closed_form(fields, t_end=starts[-1] + terms.t_b,
                                        breakpoints=starts[1:])

@@ -211,12 +211,12 @@ def check_fig1_sweep(seed=DEFAULT_SEED):
     return results
 
 
-def check_oracle(seed=DEFAULT_SEED, n_cases=100):
+def check_oracle(seed=DEFAULT_SEED):
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(100):
         a = _random_gks(rng)
         v0 = _random_state(rng)
         w = _random_piecewise(rng, 5.0)
@@ -229,10 +229,10 @@ def check_oracle(seed=DEFAULT_SEED, n_cases=100):
     ]
 
 
-def check_purity_monotonicity(seed=DEFAULT_SEED, n_cases=100):
+def check_purity_monotonicity(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_increase = -math.inf
-    for _ in range(n_cases):
+    for _ in range(100):
         a = _random_gks(rng, unital=True)
         _, ch = gks_to_channel(a)
         v0 = _random_state(rng)
@@ -275,7 +275,7 @@ def check_field_magnitude(seed=DEFAULT_SEED):
     ]
 
 
-def check_equivalence(seed=DEFAULT_SEED, n_pairs=100):
+def check_equivalence(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     results = []
     phase_flip = GKSMatrix(np.diag([0.0, 0.0, GAMMA / 2.0]).astype(complex))
@@ -290,7 +290,7 @@ def check_equivalence(seed=DEFAULT_SEED, n_pairs=100):
                            float(np.max(np.abs(r.matrix - np.diag([-1.0, 1.0, -1.0])))),
                            1e-12))
     worst_hom, worst_cover = 0.0, 0.0
-    for _ in range(n_pairs):
+    for _ in range(100):
         u1, u2 = _random_su2(rng), _random_su2(rng)
         r12 = su2_to_so3(Unitary2(u1.matrix @ u2.matrix)).matrix
         r1r2 = su2_to_so3(u1).matrix @ su2_to_so3(u2).matrix
@@ -318,9 +318,8 @@ def check_singularity(seed=DEFAULT_SEED):
     traj = simulate_tracked(ch, FIG_V0, OMEGA0, t_max=10.0)
     report = classify_singularity(traj, ch)
     ok_a = report.classification == "nontrivial-a" and abs(report.t - t_b) <= 1e-6
-    results = [CheckResult("singularity/tracked-nontrivial-a", ok_a,
-                           0.0 if ok_a else 1.0, 0.0,
-                           f"class={report.classification} t={report.t:.6g}")]
+    results = [_result("singularity/tracked-nontrivial-a", 0.0 if ok_a else 1.0, 0.0,
+                       f"class={report.classification} t={report.t:.6g}")]
 
     v_eq = CoherenceVector(math.sqrt(0.15), math.sqrt(0.15), 0.0)
     try:
@@ -332,16 +331,15 @@ def check_singularity(seed=DEFAULT_SEED):
     free = propagate_bloch(ch, ControlWaveform.zero(), v_eq, 1.0, n_samples=51)
     rep_eq = classify_singularity(free, ch)
     ok_b = ok_b and rep_eq.classification == "trivial" and rep_eq.t == 0.0
-    results.append(CheckResult("singularity/equator-uncontrollable", ok_b,
-                               0.0 if ok_b else 1.0, 0.0, detail))
+    results.append(_result("singularity/equator-uncontrollable", 0.0 if ok_b else 1.0,
+                           0.0, detail))
 
     ch0 = _dephasing_channel(0.0)
     traj0 = simulate_tracked(ch0, FIG_V0, OMEGA0, t_max=5.0)
     rep0 = classify_singularity(traj0, ch0)
     ok_c = rep0.classification == "none"
-    results.append(CheckResult("singularity/gamma-zero-none", ok_c,
-                               0.0 if ok_c else 1.0, 0.0,
-                               f"class={rep0.classification}"))
+    results.append(_result("singularity/gamma-zero-none", 0.0 if ok_c else 1.0, 0.0,
+                           f"class={rep0.classification}"))
     return results
 
 
@@ -350,8 +348,7 @@ def check_exact_algebra(seed=DEFAULT_SEED):
     exact = (np.array_equal(comm(LAMBDA_0, LAMBDA_1), -LAMBDA_2)
              and np.array_equal(comm(LAMBDA_1, LAMBDA_2), -LAMBDA_0)
              and np.array_equal(comm(LAMBDA_2, LAMBDA_0), -LAMBDA_1))
-    results = [CheckResult("algebra/so3-commutators-exact", exact,
-                           0.0 if exact else 1.0, 0.0)]
+    results = [_result("algebra/so3-commutators-exact", 0.0 if exact else 1.0, 0.0)]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(1000):
@@ -384,18 +381,18 @@ SUITES = {
 SUITES["all"] = [num for num, _ in CRITERIA]
 
 
-def run_suite(suite: str, seed: int = DEFAULT_SEED, echo=print) -> bool:
+def run_suite(suite: str, seed: int = DEFAULT_SEED) -> bool:
     """Run a named suite, printing one line per check; True iff all passed."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     wanted = set(SUITES[suite])
-    echo(f"suite={suite} seed={seed}")
+    print(f"suite={suite} seed={seed}")
     all_ok = True
     for num, fn in CRITERIA:
         if num not in wanted:
             continue
         for res in fn(seed=seed):
-            echo(res.line())
+            print(res.line())
             all_ok = all_ok and res.passed
-    echo("RESULT " + ("PASS" if all_ok else "FAIL"))
+    print("RESULT " + ("PASS" if all_ok else "FAIL"))
     return all_ok

@@ -37,14 +37,9 @@ def write_config(tmp_path, obj, name="config.json"):
 
 
 class TestScenarioConfig:
-    def test_parse_round_trip_is_fixed_point(self):
-        cfg = ScenarioConfig.from_dict(TRACK_CONFIG)
-        again = ScenarioConfig.from_json(cfg.to_json())
-        assert again.to_json() == cfg.to_json()
-
     def test_polar_initial_state(self):
         cfg = ScenarioConfig.from_dict(TRACK_CONFIG)
-        v = cfg.initial_state.v
+        v = cfg.initial_state
         assert math.isclose(v.vx**2 + v.vy**2, 0.3, rel_tol=1e-12)
         assert math.isclose(v.vz, math.sqrt(0.5), rel_tol=1e-12)
 
@@ -83,6 +78,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError,
                            match="integrator: method must be 'fixed-RK4' or "
                                  "'adaptive-RKF45', got 'euler'"):
+            ScenarioConfig.from_dict(bad)
+
+    def test_max_step_rejected_by_name(self):
+        bad = dict(TRACK_CONFIG, integrator={"max_step": 0.1})
+        with pytest.raises(ConfigError,
+                           match=r"integrator: unknown field\(s\) \['max_step'\]"):
             ScenarioConfig.from_dict(bad)
 
     @pytest.mark.parametrize("key", ["integrator", "channel"])
@@ -287,6 +288,13 @@ def _non_utf8_csv(tmp_path):
     return ["plot", str(path), "-o", str(tmp_path / "x.svg")]
 
 
+def _non_utf8_csv_among_several(tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("t,vx,vz\n0,0.5,0.5\n")
+    bad.write_bytes(b"t,vx,vz\n\xff\xfe,1,1\n")
+    return ["plot", str(good), str(bad), "-o", str(tmp_path / "x.svg")]
+
+
 IO_FAULTS = {
     "missing-waveform-csv": (_missing_waveform, "not found"),
     "output-is-directory": (_output_is_directory, "directory"),
@@ -294,6 +302,8 @@ IO_FAULTS = {
     "free-config-is-directory": (lambda tmp: ["free", str(tmp)], "directory"),
     "non-utf8-config": (_non_utf8_config, "utf-8"),
     "non-utf8-csv": (_non_utf8_csv, "utf-8"),
+    "non-utf8-csv-among-several": (_non_utf8_csv_among_several,
+                                   "bad.csv: input is not utf-8"),
     "missing-sweep-config": (lambda tmp: ["sweep", str(tmp / "absent.json")],
                              "not found"),
 }

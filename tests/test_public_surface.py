@@ -46,4 +46,4 @@ def test_parameter_lists_are_pinned():
 
     assert params(tracking_fields_general) == ["ch", "v", "omega0"]
     assert params(classify_singularity) == ["traj", "ch"]
-    assert params(detect_breakdown) == ["ch", "v0", "omega0", "t_cap", "cfg"]
+    assert params(detect_breakdown) == ["ch", "v0", "omega0", "t_cap"]

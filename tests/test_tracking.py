@@ -429,6 +429,42 @@ def test_isolated_zero_classified_alike_by_formula_and_classifier():
     assert (exc.value.report.n1, exc.value.report.n2) == (report.n1, report.n2)
 
 
+class TestBreakdownLabel:
+    """A closed-form run ends `breakdown` at the true t_b, not where it stops sampling."""
+
+    def test_tracked_and_ramp_runs_report_breakdown_time(self):
+        label = Termination("breakdown", breakdown_time(V0, GAMMA)).label()
+        for w in (tracked_waveform(V0, GAMMA, OMEGA0),
+                  coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3)], omega0=OMEGA0)):
+            traj = propagate_bloch(DEPHASING, w, V0, 10.0, n_samples=201)
+            assert traj.termination.label() == label
+
+    def test_two_segment_ramp_reports_last_segment_breakdown(self):
+        t1, c1 = 5.0, 0.1
+        r = math.sqrt(c1 / 0.3)
+        v1 = CoherenceVector(V0.vx * r, V0.vy * r, vz_tracked(V0, GAMMA, t1))
+        t_end = t1 + breakdown_time(v1, GAMMA)
+        w = coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3), (t1, c1)], omega0=OMEGA0)
+        traj = propagate_bloch(DEPHASING, w, V0, 2.0 * t_end, n_samples=201)
+        assert traj.termination.label() == Termination("breakdown", t_end).label()
+        assert traj.t[-1] < t_end * (1 - 1e-6)
+
+    @given(st.floats(0.05, 0.9), st.booleans(), st.floats(-0.6, 0.6),
+           st.floats(-0.6, 0.6), st.floats(0.1, 1.0), st.floats(-4.0, 4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_closed_form_runs_end_at_breakdown_time(self, vz, up, vx, vy, gamma, omega0):
+        if vx**2 + vy**2 + vz**2 > 1.0 or vx**2 + vy**2 < 0.05:
+            return
+        v0 = CoherenceVector(vx, vy, vz if up else -vz)
+        t_b = breakdown_time(v0, gamma)
+        ch = BlochChannel.dephasing(gamma)
+        ramp = coherence_ramp_schedule(v0, gamma, [(0.0, coherence(v0))], omega0=omega0)
+        for w in (tracked_waveform(v0, gamma, omega0), ramp):
+            traj = propagate_bloch(ch, w, v0, 1.5 * t_b, n_samples=16)
+            assert traj.termination == Termination("breakdown", t_b)
+            assert traj.t[-1] < t_b * (1 - 1e-6)
+
+
 class TestRampSchedule:
     @given(st.floats(0.05, 0.9), st.booleans(), st.floats(-0.6, 0.6),
            st.floats(-0.6, 0.6), st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
