@@ -37,9 +37,7 @@ from .bloch import (
 )
 from .config import ScenarioConfig, SweepSpec
 from .dynamics import (
-    ADAPTIVE_RKF45,
     CSV_HEADER,
-    FIXED_RK4,
     IntegratorConfig,
     Termination,
     Trajectory,

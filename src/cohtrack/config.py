@@ -153,15 +153,13 @@ class ControlSpec:
                           f"got {mode!r}")
 
 
-_INTEGRATOR_KEYS = {"method", "dt", "rtol", "atol"}
+_INTEGRATOR_KEYS = {"rtol", "atol"}
 
 
 def integrator_from_dict(obj, context="integrator") -> IntegratorConfig:
+    """RK45 tolerances `rtol` and `atol`; any other key is rejected by name."""
     _require_keys(obj, _INTEGRATOR_KEYS, context)
-    kwargs = {"method": obj["method"]} if "method" in obj else {}
-    for key in ("dt", "rtol", "atol"):
-        if key in obj:
-            kwargs[key] = _number(obj[key], f"{context}.{key}")
+    kwargs = {key: _number(obj[key], f"{context}.{key}") for key in obj}
     try:
         return IntegratorConfig(**kwargs)
     except CohtrackError as e:

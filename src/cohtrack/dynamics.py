@@ -28,8 +28,6 @@ from .errors import DomainError, ValidationError
 from .svgplot import _parse_row, read_text
 from .waveform import ControlWaveform
 
-FIXED_RK4 = "fixed-RK4"
-ADAPTIVE_RKF45 = "adaptive-RKF45"
 BREAKDOWN_GUARD = 1e-6   # a run stops sampling t_end * guard short of a domain end
 
 
@@ -47,24 +45,12 @@ _COMM_MY = _commutator_superop(-0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration method and tolerances.
+    """Tolerances of scipy's adaptive RK45, the Dormand-Prince 5(4) pair."""
 
-    The adaptive method delegates to scipy's embedded Runge-Kutta 4(5) pair
-    with dense output; the fixed-step classical RK4 exists mainly for
-    convergence-order checks.
-    """
-
-    method: str = ADAPTIVE_RKF45
-    dt: float = 0.01
     rtol: float = 1e-10
     atol: float = 1e-12
 
     def __post_init__(self):
-        if self.method not in (FIXED_RK4, ADAPTIVE_RKF45):
-            raise ValidationError(f"method must be {FIXED_RK4!r} or {ADAPTIVE_RKF45!r}, "
-                                  f"got {self.method!r}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
         if not (0 < self.rtol < 1 and 0 < self.atol < 1):
             raise ValidationError("rtol and atol must lie in (0, 1)")
 
@@ -139,31 +125,13 @@ class Trajectory:
         return replace(self, singularity=report)
 
 
-def _segment_edges(t0: float, t1: float, breakpoints) -> np.ndarray:
-    interior = [b for b in breakpoints if t0 < b < t1]
-    return np.array([t0, *interior, t1])
-
-
-def _rk4_segment(rhs, t0, t1, y0, dt):
-    n = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
-    h = (t1 - t0) / n
-    t, y = t0, y0
-    for _ in range(n):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y
-
-
 def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
-    """Integrate on the caller's grid, splitting at field discontinuities.
+    """Integrate on the caller's grid with RK45, splitting at field discontinuities.
 
-    Returns (ys, n_ok): samples of shape (len(grid), dim) and the number of
-    grid points successfully reached (the rest are left as NaN if the solver
-    fails mid-way).
+    One solver run per smooth waveform segment samples the grid through
+    t_eval, so internal steps can span grid intervals. Returns (ys, n_ok):
+    samples of shape (len(grid), dim) and the number of grid points reached
+    (the rest are left as NaN if the solver fails mid-way).
     """
     grid = np.asarray(grid, dtype=float)
     ys = np.full((len(grid), len(y0)), np.nan, dtype=np.asarray(y0).dtype)
@@ -172,17 +140,8 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
     n_ok = 1
     if len(grid) == 1:
         return ys, n_ok
-    if cfg.method == FIXED_RK4:
-        for i in range(len(grid) - 1):
-            edges = _segment_edges(grid[i], grid[i + 1], breakpoints)
-            for a, b in zip(edges[:-1], edges[1:]):
-                y = _rk4_segment(rhs, a, b, y, cfg.dt)
-            ys[i + 1] = y
-            n_ok += 1
-        return ys, n_ok
-    # Adaptive: one solver run per smooth waveform segment, sampling the
-    # output grid through t_eval so internal steps can span grid intervals.
-    edges = _segment_edges(grid[0], grid[-1], breakpoints)
+    t0, t1 = grid[0], grid[-1]
+    edges = np.array([t0, *(b for b in breakpoints if t0 < b < t1), t1])
     for a, b in zip(edges[:-1], edges[1:]):
         sel = np.nonzero((grid > a) & (grid <= b))[0]
         targets = grid[sel]

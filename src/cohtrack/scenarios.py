@@ -17,7 +17,7 @@ from .equivalence import (
     transform_channel,
     transform_state,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .svgplot import FIELDS_HEADER, read_csv_columns
 from .tracking import (
     _is_dephasing_form,
@@ -45,8 +45,11 @@ def load_fixed_waveform(path) -> ControlWaveform:
         raise ConfigError(f"{path}: expected header {','.join(FIELDS_HEADER)}")
     if any(cell is None for row in rows for cell in row):
         raise ConfigError(f"{path}: waveform table must not contain empty cells")
-    data = np.array(rows, dtype=float)
-    return ControlWaveform.sampled(data[:, 0], data[:, 1:4])
+    data = np.array(rows, dtype=float).reshape(-1, len(FIELDS_HEADER))
+    try:
+        return ControlWaveform.sampled(data[:, 0], data[:, 1:4])
+    except ValidationError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:

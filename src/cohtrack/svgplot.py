@@ -7,6 +7,7 @@ margins and tick labels use two significant digits.
 
 from __future__ import annotations
 
+import html
 import math
 from pathlib import Path
 
@@ -164,7 +165,7 @@ class _Canvas:
             parts.append(f'<line x1="{x1 - 150:g}" y1="{ly:g}" x2="{x1 - 125:g}" '
                          f'y2="{ly:g}" stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{x1 - 118:g}" y="{ly + 4:g}" '
-                         f'font-size="12">{label}</text>')
+                         f'font-size="12">{html.escape(label, quote=False)}</text>')
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 

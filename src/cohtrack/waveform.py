@@ -96,6 +96,8 @@ class ControlWaveform:
         omega = np.asarray(omega, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValidationError("sampled waveform needs at least two time points")
+        if t[0] != 0:
+            raise ValidationError(f"sampled waveform time grid must start at 0, got {t[0]}")
         dt = np.diff(t)
         if np.any(dt <= 0):
             raise ValidationError("sampled waveform time grid must be strictly increasing")

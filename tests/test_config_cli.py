@@ -2,6 +2,7 @@
 
 import json
 import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -73,17 +74,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="JSON"):
             ScenarioConfig.from_json("{not json")
 
-    def test_unknown_integrator_method_names_the_valid_ones(self):
-        bad = dict(TRACK_CONFIG, integrator={"method": "euler"})
+    @pytest.mark.parametrize("key", ["max_step", "method", "dt"])
+    def test_max_step_rejected_by_name(self, key):
+        # The integrator is RK45 alone: its only keys are rtol and atol, so
+        # any method name, `adaptive-RKF45` included, is an unknown field.
+        value = {"max_step": 0.1, "method": "adaptive-RKF45", "dt": 0.01}[key]
+        bad = dict(TRACK_CONFIG, integrator={key: value, "rtol": 1e-8})
         with pytest.raises(ConfigError,
-                           match="integrator: method must be 'fixed-RK4' or "
-                                 "'adaptive-RKF45', got 'euler'"):
-            ScenarioConfig.from_dict(bad)
-
-    def test_max_step_rejected_by_name(self):
-        bad = dict(TRACK_CONFIG, integrator={"max_step": 0.1})
-        with pytest.raises(ConfigError,
-                           match=r"integrator: unknown field\(s\) \['max_step'\]"):
+                           match=rf"integrator: unknown field\(s\) \['{key}'\]"):
             ScenarioConfig.from_dict(bad)
 
     @pytest.mark.parametrize("key", ["integrator", "channel"])
@@ -151,6 +149,16 @@ class TestCLITrajectories:
         _, track_rows = read_csv_columns(tmp_path / "trajectory.csv")
         _, field_rows = read_csv_columns(tmp_path / "fields.csv")
         assert [row[0] for row in field_rows] == [row[0] for row in track_rows]
+
+    @pytest.mark.parametrize("body", ["", "0,1,2,3\n", "1,1,2,3\n2,1,2,3\n"],
+                             ids=["header-only", "one-row", "late-start"])
+    def test_bad_waveform_table_is_one_error_line(self, tmp_path, capsys, body):
+        table = tmp_path / "fields.csv"
+        table.write_text("t,omega0,omega1,omega2\n" + body)
+        obj = dict(TRACK_CONFIG, control={"mode": "fixed", "waveform": str(table)})
+        assert main(["--out-dir", str(tmp_path), "track", write_config(tmp_path, obj)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}: ") and err.count("\n") == 1
 
     def test_fixed_waveform_round_trip(self, tmp_path):
         # Emit tracked fields, then replay them as a fixed waveform.
@@ -239,6 +247,18 @@ class TestCLISweepAndPlots:
         text = (tmp_path / "empty.svg").read_text()
         assert "<polyline" not in text
         assert "<line" in text   # axes still drawn
+
+    def test_legend_labels_are_escaped(self, tmp_path):
+        cfg = write_config(tmp_path, dict(FREE_CONFIG, samples=11))
+        main(["--out-dir", str(tmp_path), "free", cfg])
+        csvs = [tmp_path / "a&b.csv", tmp_path / "c<d.csv"]
+        for csv in csvs:
+            csv.write_bytes((tmp_path / "free.csv").read_bytes())
+        out = tmp_path / "legend.svg"
+        assert main(["plot", *map(str, csvs), "-o", str(out)]) == 0
+        texts = [node.firstChild.data for node in
+                 minidom.parse(str(out)).getElementsByTagName("text")]
+        assert "vz (a&b)" in texts and "vx (c<d)" in texts
 
     def test_plot_determinism(self, tmp_path):
         cfg = write_config(tmp_path, FREE_CONFIG)

@@ -5,7 +5,7 @@ The hashes were taken from the outputs of the per-sample implementation
 time); the batched code must reproduce them byte for byte. The track CSVs
 and the plots drawn from them hold RK45 results, so their hashes hold for
 the numpy and scipy versions they were taken with (2.4.6 and 1.17.1).
-The free, state-feedback and fixed-RK4 CSVs and the density-route samples
+The free and state-feedback CSVs and the density-route samples
 were pinned while each route still ended its runs with its own copy of the
 termination rule; the Bloch-route samples of the same piecewise case were
 pinned while the integrators still evaluated the fields through the checked
@@ -50,8 +50,6 @@ TRACK_FEEDBACK = dict(
     samples=201,
     output="track_feedback.csv",
 )
-TRACK_RK4 = dict(TRACK, integrator={"method": "fixed-RK4", "dt": 0.01}, samples=401,
-                 output="track_rk4.csv")
 SWEEP = {
     "gamma": 0.15,
     "c": {"min": 0.0, "max": 0.9, "count": 31},
@@ -69,7 +67,6 @@ GOLDEN = {
     "track.csv": "79923cbbf60777cbc1b470e6c523109c2758fd893b8c983b57d6da98e1aacd03",
     "track_clipped.csv": "5d8545d05a68177672797864439ef6065b98b37cdf002539b78289e9d1972e7d",
     "track_feedback.csv": "56312b988c6808f4866e85ed7863628ebda5d5fc71fa7d3f7fb0341acd47343a",
-    "track_rk4.csv": "928043057b0163a17f0d3f97edf7e5ea800fd2f59c788ee38d3ed21d81055b87",
     "trajectory.svg": "a9e3a00912b25031fde83cdcb8df7e75822a05b36dbc0bb736160cad7dad78ee",
 }
 DENSITY_PIECEWISE_V = "8aa9edccbf3af420fa2d6730e05c6ab12f18fcacb74aebb5ef72966e800c36d1"
@@ -82,7 +79,6 @@ def produce(out_dir) -> dict:
         ("track", TRACK),
         ("track", TRACK_CLIPPED),
         ("track", TRACK_FEEDBACK),
-        ("track", TRACK_RK4),
         ("free", FREE),
         ("fields", dict(TRACK, output="fields.csv")),
         ("fields", dict(TRACK_CLIPPED, output="fields_clipped.csv")),

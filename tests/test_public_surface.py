@@ -11,9 +11,9 @@ import cohtrack
 from cohtrack import classify_singularity, detect_breakdown, tracking_fields_general
 
 PUBLIC_NAMES = [
-    "ADAPTIVE_RKF45", "BlochChannel", "CSV_HEADER", "ChannelParams", "CohtrackError",
+    "BlochChannel", "CSV_HEADER", "ChannelParams", "CohtrackError",
     "CoherenceVector", "ConfigError", "ControlWaveform", "DensityMatrix", "DomainError",
-    "FIXED_RK4", "GKSMatrix", "GKSValidationReport", "HADAMARD", "IDENTITY2",
+    "GKSMatrix", "GKSValidationReport", "HADAMARD", "IDENTITY2",
     "IntegratorConfig", "LAMBDAS", "LAMBDA_0", "LAMBDA_1", "LAMBDA_2", "PAULIS",
     "PastBreakdownError", "Rotation3", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "ScenarioConfig", "ScheduleInfeasibleError", "SingularPointError",
