@@ -25,7 +25,7 @@ from .bloch import (
     lindblad_apply_raw,
 )
 from .errors import DomainError, ValidationError
-from .svgplot import _parse_row, read_text
+from .svgplot import read_csv_columns, write_table
 from .waveform import ControlWaveform
 
 BREAKDOWN_GUARD = 1e-6   # a run stops sampling t_end * guard short of a domain end
@@ -56,6 +56,7 @@ class IntegratorConfig:
 
 
 TERMINATION_KINDS = ("horizon", "breakdown", "clipped", "invalid")
+SINGULARITY_CLASSES = ("none", "trivial", "nontrivial-a", "nontrivial-b")
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,18 @@ class Termination:
 class SingularityReport:
     """Denominator/numerator diagnostics of the field formulas at a singular time."""
 
-    classification: str        # none | trivial | nontrivial-a | nontrivial-b
+    classification: str        # one of SINGULARITY_CLASSES
     t: float = math.nan
     d1: float = math.nan
     d2: float = math.nan
     n1: float = math.nan
     n2: float = math.nan
     note: str = ""
+
+    def __post_init__(self):
+        if self.classification not in SINGULARITY_CLASSES:
+            raise ValidationError(f"unknown singularity class {self.classification!r}; "
+                                  f"expected one of {', '.join(SINGULARITY_CLASSES)}")
 
     def comment_line(self) -> str:
         return (f"# singularity={self.classification} t={self.t:.17g} "
@@ -324,19 +330,15 @@ def purity_rate(ch: BlochChannel, v: CoherenceVector) -> float:
 # --- trajectory CSV serialization -------------------------------------------
 
 CSV_HEADER = "t,vx,vy,vz,purity,coherence,omega0,omega1,omega2"
-CSV_ROW = ",".join(["%.17g"] * 9)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory in the documented CSV format (17 significant digits)."""
     data = np.column_stack([traj.t, traj.v, traj.p, traj.c, traj.omega])
-    lines = [CSV_HEADER]
-    lines.extend(CSV_ROW % tuple(row) for row in data.tolist())
-    lines.append(f"# termination={traj.termination.label()}")
+    comments = [f"# termination={traj.termination.label()}"]
     if traj.singularity is not None:
-        lines.append(traj.singularity.comment_line())
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        comments.append(traj.singularity.comment_line())
+    write_table(path, CSV_HEADER.split(","), data.tolist(), comments)
 
 
 def _parse_singularity(spec: str):
@@ -352,12 +354,9 @@ def _parse_singularity(spec: str):
 
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory CSV written by write_trajectory_csv."""
-    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValidationError(f"{path}: missing or wrong header")
-    header = CSV_HEADER.split(",")
-    rows, termination, singularity = [], Termination("horizon"), None
-    for i, ln in enumerate(lines[1:], start=2):
+    _, rows, comments = read_csv_columns(path, CSV_HEADER.split(","))
+    termination, singularity = Termination("horizon"), None
+    for i, ln in comments:
         if ln.startswith("# termination="):
             spec = ln.split("=", 1)[1]
             kind = spec.split(":", 1)[0]
@@ -367,20 +366,11 @@ def read_trajectory_csv(path) -> Trajectory:
             except (ValueError, ValidationError) as e:
                 raise ValidationError(f"{path}: row {i}: bad termination "
                                       f"{spec!r}: {e}") from None
-            continue
-        if ln.startswith("# singularity="):
+        elif ln.startswith("# singularity="):
             try:
                 singularity = _parse_singularity(ln.split("=", 1)[1])
             except ValueError:
                 raise ValidationError(f"{path}: row {i}: bad singularity line") from None
-            continue
-        if ln.startswith("#"):
-            continue
-        row = _parse_row(path, i, ln, header)
-        if None in row:
-            raise ValidationError(f"{path}: row {i}: empty cell in column "
-                                  f"{header[row.index(None)]!r}")
-        rows.append(row)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     data = np.array(rows)

@@ -18,7 +18,7 @@ from .equivalence import (
     transform_state,
 )
 from .errors import ConfigError, ValidationError
-from .svgplot import FIELDS_HEADER, read_csv_columns
+from .svgplot import CELL, read_csv_columns, write_table, write_text
 from .tracking import (
     _is_dephasing_form,
     breakdown_time,
@@ -27,6 +27,8 @@ from .tracking import (
     tracked_waveform,
 )
 from .waveform import ControlWaveform
+
+FIELDS_HEADER = ["t", "omega0", "omega1", "omega2"]
 
 
 def output_path(path, out_dir) -> Path:
@@ -40,11 +42,7 @@ def output_path(path, out_dir) -> Path:
 
 def load_fixed_waveform(path) -> ControlWaveform:
     """Load a sampled waveform from a fields CSV (t,omega0,omega1,omega2)."""
-    header, rows = read_csv_columns(path)
-    if header != FIELDS_HEADER:
-        raise ConfigError(f"{path}: expected header {','.join(FIELDS_HEADER)}")
-    if any(cell is None for row in rows for cell in row):
-        raise ConfigError(f"{path}: waveform table must not contain empty cells")
+    _, rows, _ = read_csv_columns(path, FIELDS_HEADER)
     data = np.array(rows, dtype=float).reshape(-1, len(FIELDS_HEADER))
     try:
         return ControlWaveform.sampled(data[:, 0], data[:, 1:4])
@@ -73,10 +71,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:
     return traj, out_path
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def sweep_breakdown(spec: SweepSpec, out_dir=".") -> Path:
     """Write the breakdown-time grid CSV `c,p,t_b`; infeasible cells are empty."""
     c_vals, p_vals = spec.c_grid.values(), spec.p_grid.values()
@@ -86,15 +80,14 @@ def sweep_breakdown(spec: SweepSpec, out_dir=".") -> Path:
                        (p - c) / (2.0 * spec.gamma * c))
     infeasible = (c > p).tolist()
     t_b = t_b.tolist()
-    p_strs = [_fmt(x) for x in p_vals]
+    p_strs = [CELL % x for x in p_vals]
     lines = ["c,p,t_b"]
-    for i, c_str in enumerate(_fmt(x) for x in c_vals):
+    for i, c_str in enumerate(CELL % x for x in c_vals):
         for j, p_str in enumerate(p_strs):
-            cell = "" if infeasible[i][j] else _fmt(t_b[i][j])
+            cell = "" if infeasible[i][j] else CELL % t_b[i][j]
             lines.append(f"{c_str},{p_str},{cell}")
     out_path = output_path(spec.output, out_dir)
-    with open(out_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text(out_path, "\n".join(lines) + "\n")
     return out_path
 
 
@@ -108,12 +101,8 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
     w = tracked_waveform(cfg.initial_state, gamma, cfg.control.omega0, cfg.control.omega_max)
     grid, _ = _output_grid(cfg.t_max, w.t_end, cfg.samples)
     fields = w.unchecked()   # the grid lies in [0, t_end)
-    row = ",".join(["%.17g"] * len(FIELDS_HEADER))
-    lines = [",".join(FIELDS_HEADER)]
-    lines.extend(row % (t, *fields(t)) for t in grid.tolist())
     out_path = output_path(cfg.output, out_dir)
-    with open(out_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_table(out_path, FIELDS_HEADER, ((t, *fields(t)) for t in grid.tolist()))
     return out_path
 
 

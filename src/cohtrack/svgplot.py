@@ -17,7 +17,7 @@ WIDTH, HEIGHT = 720.0, 540.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72.0, 24.0, 24.0, 52.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
-FIELDS_HEADER = ["t", "omega0", "omega1", "omega2"]
+CELL = "%.17g"   # every float64 written to a CSV round-trips exactly
 
 
 def read_text(path) -> str:
@@ -30,22 +30,44 @@ def read_text(path) -> str:
                                   f"at byte {e.start}") from None
 
 
-def read_csv_columns(path) -> tuple[list[str], list[list[float | None]]]:
-    """Read a simulation CSV; empty cells become None, comments are skipped.
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, the encoding of every file cohtrack writes."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
-    Malformed rows raise ValidationError naming the offending row number.
+
+def write_table(path, header: list[str], rows, comments=()) -> None:
+    """Write a CSV of the header, one CELL-formatted line per row, then `comments`."""
+    row = ",".join([CELL] * len(header))
+    lines = [",".join(header)]
+    lines.extend(row % tuple(r) for r in rows)
+    lines.extend(comments)
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def read_csv_columns(path, header: list[str] | None = None) -> tuple[list, list, list]:
+    """Read a simulation CSV: its header, data rows and [(row number, `#` line)].
+
+    Empty cells become None; rows are numbered over non-blank lines. Given a
+    `header`, the file must have exactly that header and no empty cell.
     """
     lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty file")
-    header = lines[0].split(",")
-    rows = [_parse_row(path, i, ln, header)
-            for i, ln in enumerate(lines[1:], start=2) if not ln.startswith("#")]
-    return header, rows
+    found = lines[0].split(",")
+    if header is not None and found != header:
+        raise ValidationError(f"{path}: expected header {','.join(header)}")
+    rows, comments = [], []
+    for i, ln in enumerate(lines[1:], start=2):
+        if ln.startswith("#"):
+            comments.append((i, ln))
+        else:
+            rows.append(_parse_row(path, i, ln, found, header is not None))
+    return found, rows, comments
 
 
-def _parse_row(path, i: int, line: str, header: list[str]) -> list[float | None]:
-    """Cells of data row i (counted over non-blank lines); empty cells become None."""
+def _parse_row(path, i: int, line: str, header: list[str], strict: bool):
+    """Cells of data row i; an empty cell becomes None, or is an error if `strict`."""
     parts = line.split(",")
     if len(parts) != len(header):
         raise ValidationError(
@@ -58,15 +80,15 @@ def _parse_row(path, i: int, line: str, header: list[str]) -> list[float | None]
             pass   # the cell-by-cell loop below names the bad cell
     row = []
     for j, cell in enumerate(parts):
-        if cell == "":
+        if cell == "" and not strict:
             row.append(None)
             continue
         try:
             row.append(float(cell))
         except ValueError:
+            what = "empty cell" if cell == "" else f"non-numeric value {cell!r}"
             raise ValidationError(
-                f"{path}: row {i}: non-numeric value {cell!r} in column "
-                f"{header[j]!r}"
+                f"{path}: row {i}: {what} in column {header[j]!r}"
             ) from None
     return row
 
@@ -190,7 +212,7 @@ def _column(header, rows, name, path):
 def _plot_curves(paths, column_names):
     datasets = []
     for path in paths:
-        header, rows = read_csv_columns(path)
+        header, rows, _ = read_csv_columns(path)
         t = _column(header, rows, "t", path)
         curves = [(name, _column(header, rows, name, path)) for name in column_names]
         datasets.append((Path(path).stem, t, curves))
@@ -216,7 +238,7 @@ def _heat_color(u: float) -> str:
 
 
 def _plot_surface(path):
-    header, rows = read_csv_columns(path)
+    header, rows, _ = read_csv_columns(path)
     cs = _column(header, rows, "c", path)
     ps = _column(header, rows, "p", path)
     tb = _column(header, rows, "t_b", path)
@@ -253,5 +275,4 @@ def emit_plot(csv_paths, kind: str, out_path) -> None:
         svg = _plot_surface(csv_paths[0])
     else:
         raise ValidationError(f"unknown plot kind {kind!r}")
-    with open(out_path, "w") as f:
-        f.write(svg)
+    write_text(out_path, svg)

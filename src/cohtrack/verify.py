@@ -183,7 +183,7 @@ def check_fig1_sweep(seed=DEFAULT_SEED):
             "output": str(Path(tmp) / "sweep.csv"),
         })
         path = sweep_breakdown(spec)
-        _, rows = read_csv_columns(path)
+        _, rows, _ = read_csv_columns(path)
     worst = 0.0
     feasible = []
     for c, p, t_b in rows:

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
+import cohtrack
 from cohtrack import cli
 from cohtrack.cli import main
 from cohtrack.config import ScenarioConfig, SweepSpec
@@ -146,15 +151,20 @@ class TestCLITrajectories:
         fields = write_config(tmp_path, dict(obj, output="fields.csv"), "fields.json")
         assert main(["--out-dir", str(tmp_path), "track", track]) == 0
         assert main(["--out-dir", str(tmp_path), "fields", fields]) == 0
-        _, track_rows = read_csv_columns(tmp_path / "trajectory.csv")
-        _, field_rows = read_csv_columns(tmp_path / "fields.csv")
+        _, track_rows, _ = read_csv_columns(tmp_path / "trajectory.csv")
+        _, field_rows, _ = read_csv_columns(tmp_path / "fields.csv")
         assert [row[0] for row in field_rows] == [row[0] for row in track_rows]
 
-    @pytest.mark.parametrize("body", ["", "0,1,2,3\n", "1,1,2,3\n2,1,2,3\n"],
-                             ids=["header-only", "one-row", "late-start"])
-    def test_bad_waveform_table_is_one_error_line(self, tmp_path, capsys, body):
+    @pytest.mark.parametrize("text", [
+        "t,omega0,omega1,omega2\n",
+        "t,omega0,omega1,omega2\n0,1,2,3\n",
+        "t,omega0,omega1,omega2\n1,1,2,3\n2,1,2,3\n",
+        "t,omega0,omega1,omega2\n0,1,,3\n1,1,2,3\n",
+        "t,w0,w1,w2\n0,1,2,3\n1,1,2,3\n",
+    ], ids=["header-only", "one-row", "late-start", "empty-cell", "wrong-header"])
+    def test_bad_waveform_table_is_one_error_line(self, tmp_path, capsys, text):
         table = tmp_path / "fields.csv"
-        table.write_text("t,omega0,omega1,omega2\n" + body)
+        table.write_text(text)
         obj = dict(TRACK_CONFIG, control={"mode": "fixed", "waveform": str(table)})
         assert main(["--out-dir", str(tmp_path), "track", write_config(tmp_path, obj)]) == 1
         err = capsys.readouterr().err
@@ -206,7 +216,7 @@ class TestCLISweepAndPlots:
             "output": "sweep.csv",
         })
         assert main(["--out-dir", str(tmp_path), "sweep", cfg]) == 0
-        header, rows = read_csv_columns(tmp_path / "sweep.csv")
+        header, rows, _ = read_csv_columns(tmp_path / "sweep.csv")
         assert header == ["c", "p", "t_b"]
         assert len(rows) == 16
         for c, p, t_b in rows:
@@ -251,7 +261,7 @@ class TestCLISweepAndPlots:
     def test_legend_labels_are_escaped(self, tmp_path):
         cfg = write_config(tmp_path, dict(FREE_CONFIG, samples=11))
         main(["--out-dir", str(tmp_path), "free", cfg])
-        csvs = [tmp_path / "a&b.csv", tmp_path / "c<d.csv"]
+        csvs = [tmp_path / "a&b.csv", tmp_path / "c<d.csv", tmp_path / "données.csv"]
         for csv in csvs:
             csv.write_bytes((tmp_path / "free.csv").read_bytes())
         out = tmp_path / "legend.svg"
@@ -259,6 +269,7 @@ class TestCLISweepAndPlots:
         texts = [node.firstChild.data for node in
                  minidom.parse(str(out)).getElementsByTagName("text")]
         assert "vz (a&b)" in texts and "vx (c<d)" in texts
+        assert "vz (données)" in texts
 
     def test_plot_determinism(self, tmp_path):
         cfg = write_config(tmp_path, FREE_CONFIG)
@@ -273,7 +284,8 @@ class TestCLISweepAndPlots:
         path = tmp_path / "cells.csv"
         path.write_text("c,p,t_b\n0.5,0.25,\n# note\n0.25,0.5,2\n")
         assert read_csv_columns(path) == (["c", "p", "t_b"],
-                                          [[0.5, 0.25, None], [0.25, 0.5, 2.0]])
+                                          [[0.5, 0.25, None], [0.25, 0.5, 2.0]],
+                                          [(3, "# note")])
         path.write_text("c,p,t_b\n0.5,0.25,\n0.25,x,2\n")
         with pytest.raises(ValidationError,
                            match="row 3: non-numeric value 'x' in column 'p'"):
@@ -282,6 +294,35 @@ class TestCLISweepAndPlots:
     def test_missing_plot_input_is_config_error(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "absent.csv"),
                      "-o", str(tmp_path / "x.svg")]) == 1
+
+    def test_writers_name_their_encoding(self, tmp_path):
+        # Under warn_default_encoding an open() without an encoding warns;
+        # here the warning is an error, so each writer must name UTF-8.
+        track = write_config(tmp_path, dict(TRACK_CONFIG, samples=11), "track.json")
+        fields = write_config(tmp_path, dict(TRACK_CONFIG, samples=11,
+                                             output="fields.csv"), "fields.json")
+        sweep = write_config(tmp_path, {
+            "gamma": 0.1, "output": "sweep.csv",
+            "c": {"min": 0.2, "max": 0.8, "count": 3},
+            "p": {"min": 0.2, "max": 0.8, "count": 3},
+        }, "sweep.json")
+        script = (
+            "import sys\n"
+            "from cohtrack.cli import main\n"
+            "out, track, fields, sweep = sys.argv[1:]\n"
+            "for argv in (['track', track], ['fields', fields], ['sweep', sweep],\n"
+            "             ['plot', 'trajectory.csv', '-o', 'trajectory.svg']):\n"
+            "    assert main(['--out-dir', out, *argv]) == 0, argv\n"
+        )
+        src = str(Path(cohtrack.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", script, str(tmp_path), track, fields, sweep],
+            cwd=tmp_path, env=env, capture_output=True, encoding="utf-8", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "trajectory.svg").exists()
 
 
 def _missing_waveform(tmp_path):

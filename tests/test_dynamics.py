@@ -388,6 +388,7 @@ class TestTrajectoryCSV:
         "# termination=clipped:t=soon",
         "# singularity=trivial t=1 D1=0",
         "# singularity=trivial t=x D1=0 D2=0 N1=0 N2=0",
+        "# singularity=bogus t=0 D1=0 D2=0 N1=0 N2=0",
     ])
     def test_malformed_comment_lines_rejected(self, tmp_path, comment):
         path = tmp_path / "bad.csv"

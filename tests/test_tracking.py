@@ -15,6 +15,7 @@ from cohtrack.bloch import (
     gks_to_channel,
 )
 from cohtrack.dynamics import (
+    IntegratorConfig,
     Termination,
     Trajectory,
     propagate_bloch,
@@ -217,6 +218,19 @@ class TestSimulateTracked:
         assert traj.termination.kind == "horizon"
         assert np.max(np.abs(traj.v[:, 0] - V0.vx)) <= 1e-6
         assert np.max(np.abs(traj.v[:, 1] - V0.vy)) <= 1e-6
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a SingularPointError on the feedback path discards "
+                              "every sample taken before it")
+    def test_feedback_run_keeps_its_samples_near_a_singular_point(self):
+        # At rtol = atol = 1e-8 the run ends invalid:t=0.1 with one sample;
+        # at the default tolerances it keeps 84 and ends invalid:t=8.4.
+        m0 = np.diag([-GAMMA, -GAMMA, 0.0])
+        m0[0, 1] = m0[1, 0] = 1e-9   # off the dephasing form: the feedback path
+        ch = BlochChannel(m0, np.zeros(3))
+        traj = simulate_tracked(ch, V0, OMEGA0, t_max=10.0, n_samples=101,
+                                cfg=IntegratorConfig(rtol=1e-8, atol=1e-8))
+        assert traj.t[-1] > 8.0   # t_b = 25/3 for the dephasing part
 
     def test_feedback_path_rejects_nonpositive_horizon(self):
         ch = BlochChannel(np.diag([-GAMMA, -1.2 * GAMMA, 0.0]), np.zeros(3))
