@@ -27,11 +27,9 @@ from .bloch import (
     GKSValidationReport,
     bloch_to_density,
     coherence,
-    control_hamiltonian,
     control_matrix,
     density_to_bloch,
     gks_to_channel,
-    is_unital,
     purity,
     validate_gks,
 )
@@ -42,8 +40,6 @@ from .dynamics import (
     Termination,
     Trajectory,
     free_dephasing_analytic,
-    lindblad_apply,
-    phase_flip_probability,
     propagate_bloch,
     propagate_density,
     purity_rate,
@@ -58,7 +54,6 @@ from .equivalence import (
     su2_to_so3,
     transform_channel,
     transform_state,
-    transform_tracking_fields,
     transport_waveform,
 )
 from .errors import (
@@ -81,7 +76,6 @@ from .scenarios import (
 from .svgplot import emit_plot
 from .tracking import (
     SingularityReport,
-    TrackingSolution,
     breakdown_time,
     classify_singularity,
     clip_time,
@@ -92,7 +86,6 @@ from .tracking import (
     tracked_waveform,
     tracking_fields_dephasing,
     tracking_fields_general,
-    tracking_rhs,
     vz_tracked,
 )
 from .verify import run_suite

@@ -37,7 +37,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_SLACK = 1e-10
 NORM_TOL = 1e-12
-UNITAL_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -185,13 +184,16 @@ class GKSValidationReport:
 
 
 def validate_gks(a) -> GKSValidationReport:
-    """Check Hermiticity and positive semidefiniteness of a GKS matrix or raw array."""
+    """Check that a GKS matrix or raw array is finite, Hermitian and PSD."""
     if isinstance(a, GKSMatrix):
         a = a.matrix
     a = np.asarray(a, dtype=complex)
     if a.shape != (3, 3):
         return GKSValidationReport(False, math.inf, -math.inf,
                                    f"GKS matrix must be 3x3, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        return GKSValidationReport(False, math.nan, math.nan,
+                                   "GKS matrix has non-finite entries")
     herm = float(np.max(np.abs(a - a.conj().T)))
     if herm > HERMITICITY_TOL:
         return GKSValidationReport(False, herm, -math.inf,
@@ -266,19 +268,9 @@ def gks_to_channel(a: GKSMatrix) -> tuple[ChannelParams, BlochChannel]:
     return ch.params(), ch
 
 
-def is_unital(ch: BlochChannel) -> bool:
-    """True iff the channel has no affine shift (L(I) = 0)."""
-    return float(np.linalg.norm(ch.k)) <= UNITAL_TOL
-
-
 def control_matrix(omega0: float, omega1: float, omega2: float) -> np.ndarray:
     """Antisymmetric control matrix M = omega0 L0 + omega1 L1 + omega2 L2."""
     for name, w in (("omega0", omega0), ("omega1", omega1), ("omega2", omega2)):
         if not math.isfinite(w):
             raise DomainError(f"{name} must be finite, got {w!r}")
     return (omega0 * LAMBDA_0 + omega1 * LAMBDA_1 + omega2 * LAMBDA_2).astype(float)
-
-
-def control_hamiltonian(omega0: float, omega1: float, omega2: float) -> np.ndarray:
-    """Control Hamiltonian H = (1/2)(omega0 sigma_z + omega1 sigma_x - omega2 sigma_y)."""
-    return 0.5 * (omega0 * SIGMA_Z + omega1 * SIGMA_X - omega2 * SIGMA_Y)

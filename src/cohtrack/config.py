@@ -14,15 +14,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
-from .dynamics import IntegratorConfig
 from .errors import CohtrackError, ConfigError
 from .svgplot import read_text
 
 
 def parse_json(text: str, context: str):
-    """Decode a JSON document; malformed text raises ConfigError."""
+    """Decode a JSON document; malformed text or a non-finite number raises ConfigError.
+
+    `NaN`, `Infinity` and `-Infinity`, which Python's json accepts, and a
+    literal that overflows a float (`1e400`, or an integer above 1.8e308)
+    are all refused here.
+    """
+    def finite(literal):
+        x = float(literal)
+        if not math.isfinite(x):
+            raise ConfigError(f"{context}: non-finite number {literal} is not allowed")
+        return x
+
+    def integer(literal):
+        finite(literal)
+        return int(literal)
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=finite, parse_int=integer,
+                          parse_constant=finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{context}: invalid JSON: {e}") from None
 
@@ -153,21 +168,7 @@ class ControlSpec:
                           f"got {mode!r}")
 
 
-_INTEGRATOR_KEYS = {"rtol", "atol"}
-
-
-def integrator_from_dict(obj, context="integrator") -> IntegratorConfig:
-    """RK45 tolerances `rtol` and `atol`; any other key is rejected by name."""
-    _require_keys(obj, _INTEGRATOR_KEYS, context)
-    kwargs = {key: _number(obj[key], f"{context}.{key}") for key in obj}
-    try:
-        return IntegratorConfig(**kwargs)
-    except CohtrackError as e:
-        raise ConfigError(f"{context}: {e}") from None
-
-
-_SCENARIO_KEYS = {"channel", "initial_state", "control", "t_max",
-                  "integrator", "samples", "output"}
+_SCENARIO_KEYS = {"channel", "initial_state", "control", "t_max", "samples", "output"}
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,6 @@ class ScenarioConfig:
     initial_state: CoherenceVector
     control: ControlSpec
     t_max: float
-    integrator: IntegratorConfig
     samples: int
     output: str
 
@@ -191,14 +191,13 @@ class ScenarioConfig:
         t_max = _number(_get(obj, "t_max", "config"), "t_max")
         if t_max <= 0:
             raise ConfigError(f"t_max: must be positive, got {t_max}")
-        integrator = integrator_from_dict(obj.get("integrator", {}))
         samples = obj.get("samples", 501)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
             raise ConfigError(f"samples: must be an integer >= 2, got {samples!r}")
         output = obj.get("output", "trajectory.csv")
         if not isinstance(output, str):
             raise ConfigError("output: expected a file path string")
-        return cls(channel, state, control, t_max, integrator, samples, output)
+        return cls(channel, state, control, t_max, samples, output)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

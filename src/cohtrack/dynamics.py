@@ -18,11 +18,13 @@ from scipy.integrate import solve_ivp
 
 from .bloch import (
     PAULIS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     BlochChannel,
     CoherenceVector,
     DensityMatrix,
     GKSMatrix,
-    lindblad_apply_raw,
 )
 from .errors import DomainError, ValidationError
 from .svgplot import read_csv_columns, write_table
@@ -38,9 +40,9 @@ def _commutator_superop(h: np.ndarray) -> np.ndarray:
 
 
 # Per-field control generators: H = (1/2)(w0 sigma_z + w1 sigma_x - w2 sigma_y).
-_COMM_Z = _commutator_superop(0.5 * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-_COMM_X = _commutator_superop(0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-_COMM_MY = _commutator_superop(-0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+_COMM_Z = _commutator_superop(0.5 * SIGMA_Z)
+_COMM_X = _commutator_superop(0.5 * SIGMA_X)
+_COMM_MY = _commutator_superop(-0.5 * SIGMA_Y)
 
 
 @dataclass(frozen=True)
@@ -247,11 +249,6 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     return _trajectory(grid, ys, n_ok, cfg, end, lambda g, _: _fields_on_grid(fields, g))
 
 
-def lindblad_apply(a: GKSMatrix, rho: DensityMatrix) -> np.ndarray:
-    """Dissipative part L(rho) of the master equation; traceless and Hermitian."""
-    return lindblad_apply_raw(a.matrix, rho.matrix)
-
-
 def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
                       t_max: float, cfg: IntegratorConfig | None = None,
                       n_samples: int = 501) -> Trajectory:
@@ -306,15 +303,6 @@ def free_dephasing_analytic(gamma: float, v0: CoherenceVector, t: float) -> Cohe
         raise DomainError(f"t must be >= 0, got {t}")
     decay = math.exp(-gamma * t)
     return CoherenceVector(decay * v0.vx, decay * v0.vy, v0.vz)
-
-
-def phase_flip_probability(gamma: float, t: float) -> float:
-    """Kraus phase-flip probability (1 - exp(-gamma t)) / 2."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return (1.0 - math.exp(-gamma * t)) / 2.0
 
 
 def purity_rate(ch: BlochChannel, v: CoherenceVector) -> float:

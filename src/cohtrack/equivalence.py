@@ -16,7 +16,6 @@ import numpy as np
 
 from .bloch import PAULIS, BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
 from .errors import ValidationError
-from .tracking import tracking_fields_dephasing
 from .waveform import ControlWaveform
 
 
@@ -96,18 +95,6 @@ def transform_channel(a: GKSMatrix, u: Unitary2) -> GKSMatrix:
 def transform_state(v: CoherenceVector, r: Rotation3) -> CoherenceVector:
     """Rotate a Bloch vector: v' = R v. Purity is invariant exactly."""
     return CoherenceVector.from_array(r.matrix @ v.as_array())
-
-
-def transform_tracking_fields(v0: CoherenceVector, gamma: float, omega0: float,
-                              r: Rotation3, t: float) -> tuple[float, float]:
-    """Tracking fields of the rotated problem: synthesized at R v0.
-
-    The sign branch is inherited from the transformed initial state, so for
-    rotations in the dephasing-class stabilizer the fields differ from the
-    originals at most by the overall branch sign; the breakdown time is
-    invariant (both c and v_z(0)^2 are).
-    """
-    return tracking_fields_dephasing(transform_state(v0, r), gamma, omega0, t)
 
 
 def transport_waveform(w: ControlWaveform, r: Rotation3) -> ControlWaveform:

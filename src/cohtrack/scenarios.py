@@ -57,15 +57,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:
     control = cfg.control
     if control.mode == "track":
         traj = simulate_tracked(ch, v0, control.omega0, cfg.t_max,
-                                omega_max=control.omega_max,
-                                cfg=cfg.integrator, n_samples=cfg.samples)
+                                omega_max=control.omega_max, n_samples=cfg.samples)
         traj = traj.with_singularity(classify_singularity(traj, ch))
     else:
         if control.mode == "free":
             w = ControlWaveform.zero()
         else:
             w = load_fixed_waveform(control.waveform_path)
-        traj = propagate_bloch(ch, w, v0, cfg.t_max, cfg.integrator, cfg.samples)
+        traj = propagate_bloch(ch, w, v0, cfg.t_max, n_samples=cfg.samples)
     out_path = output_path(cfg.output, out_dir)
     write_trajectory_csv(traj, out_path)
     return traj, out_path

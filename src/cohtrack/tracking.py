@@ -10,7 +10,7 @@ diverge like (t_b - t)^(-1/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -50,37 +50,8 @@ O_2 = np.diag([0, 1, 0]).astype(int)
 
 EPS_DENOMINATOR = 1e-10
 EPS_NUMERATOR = 1e-8
-VZ_FLOOR = 1e-14
 TRIVIAL_RUN_LENGTH = 10  # consecutive zero denominators that make a singularity trivial
 DETECT_VZ_FLOOR = 1e-3   # |v_z| at which `detect_breakdown` stops
-
-
-@dataclass(frozen=True)
-class TrackingSolution:
-    """Closed-form tracked solution for a pure-dephasing channel."""
-
-    v0: CoherenceVector
-    gamma: float
-    omega0: float
-    _terms: _DephasingTerms = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_terms",
-                           _dephasing_terms(self.v0, self.gamma, self.omega0))
-
-    @property
-    def sign(self) -> int:
-        return int(self._terms.sign)
-
-    @property
-    def t_b(self) -> float:
-        return self._terms.t_b
-
-    def vz(self, t: float) -> float:
-        return vz_tracked(self.v0, self.gamma, t)
-
-    def fields(self, t: float) -> tuple[float, float]:
-        return tracking_fields_dephasing(self.v0, self.gamma, self.omega0, t)
 
 
 def breakdown_time(v0: CoherenceVector, gamma: float) -> float:
@@ -107,21 +78,6 @@ def vz_tracked(v0: CoherenceVector, gamma: float, t: float) -> float:
     if t > terms.t_b:
         raise PastBreakdownError(t, terms.t_b)
     return terms.vz(t)
-
-
-def tracking_rhs(ch: BlochChannel, v: CoherenceVector) -> float:
-    """dv_z/dt under the constant-coherence constraint for a general channel.
-
-    Equals F + G / v_z - gamma1 v_z with F and G built from the channel's
-    axis-labeled parameters and the in-plane components of v.
-    """
-    if abs(v.vz) < VZ_FLOOR:
-        raise SingularPointError(f"v_z = {v.vz} is a singular point of the tracking equation")
-    p = ch.params()
-    f = 2.0 * p.beta * v.vx + 2.0 * p.delta * v.vy - 2.0 * p.nu
-    g = (-p.gamma3 * v.vx**2 - p.gamma2 * v.vy**2 + 2.0 * p.alpha * v.vx * v.vy
-         - 2.0 * p.lam * v.vx - 2.0 * p.mu * v.vy)
-    return f + g / v.vz - p.gamma1 * v.vz
 
 
 @dataclass(frozen=True)

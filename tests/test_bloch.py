@@ -21,15 +21,14 @@ from cohtrack.bloch import (
     GKSMatrix,
     bloch_to_density,
     coherence,
-    control_hamiltonian,
     control_matrix,
     density_to_bloch,
     gks_to_channel,
-    is_unital,
     lindblad_apply_raw,
     purity,
     validate_gks,
 )
+from cohtrack.dynamics import _COMM_MY, _COMM_X, _COMM_Z
 from cohtrack.errors import DomainError, ValidationError
 
 unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
@@ -68,13 +67,14 @@ class TestPauliAlgebra:
             control_matrix(math.inf, 0.0, 0.0)
 
     def test_hamiltonian_matches_control_matrix_action(self):
-        # -i[H, .] in the Bloch picture must equal M = sum omega_j Lambda_j.
-        w = (1.1, -0.4, 0.8)
-        h = control_hamiltonian(*w)
-        m = control_matrix(*w)
+        # The density oracle's control generator -i[H, .] must act in the
+        # Bloch picture as M = sum omega_j Lambda_j.
+        w0, w1, w2 = 1.1, -0.4, 0.8
+        gen = w0 * _COMM_Z + w1 * _COMM_X + w2 * _COMM_MY
+        m = control_matrix(w0, w1, w2)
         for b, sb in enumerate(PAULIS):
-            image = -1j * (h @ sb - sb @ h)
-            column = [np.trace(image @ sa).real / 2.0 for sa in PAULIS]
+            image = (gen @ (0.5 * sb).ravel()).reshape(2, 2)
+            column = [np.trace(image @ sa).real for sa in PAULIS]
             assert np.allclose(column, m[:, b], atol=1e-14)
 
 
@@ -143,6 +143,17 @@ class TestGKSValidation:
     def test_wrong_shape_rejected(self):
         assert not validate_gks(np.eye(2, dtype=complex)).valid
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entry_rejected(self, entry):
+        # A NaN passes the Hermiticity and eigenvalue comparisons unnoticed.
+        a = np.diag([0.0, 0.0, 0.05]).astype(complex)
+        a[2, 2] = entry
+        report = validate_gks(a)
+        assert not report.valid
+        assert "non-finite" in report.message
+        with pytest.raises(ValidationError, match="non-finite"):
+            GKSMatrix(a)
+
 
 class TestChannelConversion:
     def test_dephasing_gks_to_bloch(self):
@@ -184,12 +195,12 @@ class TestChannelConversion:
         for _ in range(20):
             g = rng.normal(size=(3, 3))
             real_a = GKSMatrix((0.2 * g @ g.T).astype(complex))
-            assert is_unital(gks_to_channel(real_a)[1])
+            assert np.linalg.norm(gks_to_channel(real_a)[1].k) <= 1e-12
         # A genuinely complex PSD matrix produces an affine shift.
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a = GKSMatrix(0.2 * g @ g.conj().T)
         if np.max(np.abs(a.matrix.imag)) > 1e-12:
-            assert not is_unital(gks_to_channel(a)[1])
+            assert np.linalg.norm(gks_to_channel(a)[1].k) > 1e-12
 
     def test_negative_dephasing_rate_rejected(self):
         with pytest.raises(DomainError):

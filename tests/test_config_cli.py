@@ -14,7 +14,7 @@ import pytest
 import cohtrack
 from cohtrack import cli
 from cohtrack.cli import main
-from cohtrack.config import ScenarioConfig, SweepSpec
+from cohtrack.config import ScenarioConfig, SweepSpec, parse_json
 from cohtrack.dynamics import read_trajectory_csv
 from cohtrack.errors import ConfigError, ValidationError
 from cohtrack.svgplot import read_csv_columns
@@ -38,7 +38,7 @@ FREE_CONFIG = {
 
 def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
 
@@ -81,18 +81,54 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("key", ["max_step", "method", "dt"])
     def test_max_step_rejected_by_name(self, key):
-        # The integrator is RK45 alone: its only keys are rtol and atol, so
-        # any method name, `adaptive-RKF45` included, is an unknown field.
+        # Runs use IntegratorConfig's default tolerances: a config that still
+        # carries an `integrator` section, whatever knob it holds, is refused.
         value = {"max_step": 0.1, "method": "adaptive-RKF45", "dt": 0.01}[key]
         bad = dict(TRACK_CONFIG, integrator={key: value, "rtol": 1e-8})
         with pytest.raises(ConfigError,
-                           match=rf"integrator: unknown field\(s\) \['{key}'\]"):
+                           match=r"config: unknown field\(s\) \['integrator'\]"):
             ScenarioConfig.from_dict(bad)
 
-    @pytest.mark.parametrize("key", ["integrator", "channel"])
+    @pytest.mark.parametrize("key", ["channel", "control"])
     def test_non_object_section_rejected(self, key):
         with pytest.raises(ConfigError, match=f"{key}: expected a JSON object"):
             ScenarioConfig.from_dict(dict(TRACK_CONFIG, **{key: [1]}))
+
+    @pytest.mark.parametrize("edit", [
+        {"control": {"mode": "track", "omega0": math.nan}},
+        {"control": {"mode": "track", "omega0": 4.0, "omega_max": math.nan}},
+        {"channel": {"type": "dephasing", "gamma": math.nan}},
+        {"channel": {"type": "gks", "matrix": [[[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3,
+                                               [[0.0, 0.0], [0.0, 0.0], [math.nan, 0.0]]]}},
+        {"initial_state": {"coherence": 0.3, "purity": 0.8, "phase": math.inf}},
+        {"t_max": math.inf},
+        {"t_max": -math.inf},
+        {"t_max": math.nan},
+    ], ids=["omega0", "omega_max", "gamma", "gks-entry", "phase", "t_max-inf",
+            "t_max-minus-inf", "t_max-nan"])
+    def test_non_finite_number_rejected(self, edit):
+        # json.dumps writes NaN, Infinity and -Infinity, which json.loads
+        # would accept; the parser refuses them before any run starts.
+        with pytest.raises(ConfigError, match="^config: non-finite number"):
+            ScenarioConfig.from_json(json.dumps(dict(TRACK_CONFIG, **edit)))
+
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 309],
+                             ids=["float", "integer"])
+    def test_overflowing_literal_rejected(self, literal):
+        text = json.dumps(dict(TRACK_CONFIG, t_max=10.5)).replace("10.5", literal)
+        with pytest.raises(ConfigError, match=f"non-finite number {literal} "):
+            ScenarioConfig.from_json(text)
+
+    def test_non_finite_sweep_and_unitary_rejected(self, tmp_path):
+        spec = write_config(tmp_path, {
+            "gamma": math.nan,
+            "c": {"min": 0.1, "max": 0.9, "count": 2},
+            "p": {"min": 0.1, "max": 0.9, "count": 2},
+        })
+        with pytest.raises(ConfigError, match="^sweep: non-finite number NaN"):
+            SweepSpec.load(spec)
+        with pytest.raises(ConfigError, match="^--unitary: non-finite number NaN"):
+            parse_json("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]", "--unitary")
 
     def test_sweep_spec_parse(self):
         spec = SweepSpec.from_dict({
@@ -117,7 +153,7 @@ class TestCLITrajectories:
     def test_track_run_records_breakdown_and_singularity(self, tmp_path):
         cfg = write_config(tmp_path, TRACK_CONFIG)
         assert main(["--out-dir", str(tmp_path), "track", cfg]) == 0
-        text = (tmp_path / "trajectory.csv").read_text()
+        text = (tmp_path / "trajectory.csv").read_text(encoding="utf-8")
         assert "# termination=breakdown:t_b=" in text
         assert "# singularity=nontrivial-a" in text
 
@@ -136,6 +172,14 @@ class TestCLITrajectories:
         cfg = write_config(tmp_path, obj)
         assert main(["--out-dir", str(tmp_path), "track", cfg]) == 2
         assert "no control is possible" in capsys.readouterr().err
+
+    def test_infinite_phase_is_one_error_line(self, tmp_path, capsys):
+        obj = dict(TRACK_CONFIG,
+                   initial_state={"coherence": 0.3, "purity": 0.8, "phase": math.inf})
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), "track", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config: non-finite number Infinity is not allowed\n"
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, TRACK_CONFIG)
@@ -164,7 +208,7 @@ class TestCLITrajectories:
     ], ids=["header-only", "one-row", "late-start", "empty-cell", "wrong-header"])
     def test_bad_waveform_table_is_one_error_line(self, tmp_path, capsys, text):
         table = tmp_path / "fields.csv"
-        table.write_text(text)
+        table.write_text(text, encoding="utf-8")
         obj = dict(TRACK_CONFIG, control={"mode": "fixed", "waveform": str(table)})
         assert main(["--out-dir", str(tmp_path), "track", write_config(tmp_path, obj)]) == 1
         err = capsys.readouterr().err
@@ -232,7 +276,7 @@ class TestCLISweepAndPlots:
         for kind in ("trajectory", "fields"):
             out = str(tmp_path / f"{kind}.svg")
             assert main(["plot", csv, "--kind", kind, "-o", out]) == 0
-            text = (tmp_path / f"{kind}.svg").read_text()
+            text = (tmp_path / f"{kind}.svg").read_text(encoding="utf-8")
             assert text.startswith('<?xml version="1.0"')
             assert "<svg" in text and "</svg>" in text
 
@@ -247,14 +291,14 @@ class TestCLISweepAndPlots:
         out = str(tmp_path / "surface.svg")
         assert main(["plot", str(tmp_path / "sweep.csv"),
                      "--kind", "surface", "-o", out]) == 0
-        assert "<rect" in (tmp_path / "surface.svg").read_text()
+        assert "<rect" in (tmp_path / "surface.svg").read_text(encoding="utf-8")
 
     def test_header_only_csv_gives_axes_only_svg(self, tmp_path):
         empty = tmp_path / "empty.csv"
-        empty.write_text("t,vx,vy,vz,purity,coherence,omega0,omega1,omega2\n")
+        empty.write_text("t,vx,vy,vz,purity,coherence,omega0,omega1,omega2\n", encoding="utf-8")
         out = str(tmp_path / "empty.svg")
         assert main(["plot", str(empty), "-o", out]) == 0
-        text = (tmp_path / "empty.svg").read_text()
+        text = (tmp_path / "empty.svg").read_text(encoding="utf-8")
         assert "<polyline" not in text
         assert "<line" in text   # axes still drawn
 
@@ -282,11 +326,11 @@ class TestCLISweepAndPlots:
 
     def test_read_csv_columns_cells(self, tmp_path):
         path = tmp_path / "cells.csv"
-        path.write_text("c,p,t_b\n0.5,0.25,\n# note\n0.25,0.5,2\n")
+        path.write_text("c,p,t_b\n0.5,0.25,\n# note\n0.25,0.5,2\n", encoding="utf-8")
         assert read_csv_columns(path) == (["c", "p", "t_b"],
                                           [[0.5, 0.25, None], [0.25, 0.5, 2.0]],
                                           [(3, "# note")])
-        path.write_text("c,p,t_b\n0.5,0.25,\n0.25,x,2\n")
+        path.write_text("c,p,t_b\n0.5,0.25,\n0.25,x,2\n", encoding="utf-8")
         with pytest.raises(ValidationError,
                            match="row 3: non-numeric value 'x' in column 'p'"):
             read_csv_columns(path)
@@ -351,7 +395,7 @@ def _non_utf8_csv(tmp_path):
 
 def _non_utf8_csv_among_several(tmp_path):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    good.write_text("t,vx,vz\n0,0.5,0.5\n")
+    good.write_text("t,vx,vz\n0,0.5,0.5\n", encoding="utf-8")
     bad.write_bytes(b"t,vx,vz\n\xff\xfe,1,1\n")
     return ["plot", str(good), str(bad), "-o", str(tmp_path / "x.svg")]
 

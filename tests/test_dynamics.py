@@ -22,7 +22,6 @@ from cohtrack.dynamics import (
     Termination,
     _trajectory,
     free_dephasing_analytic,
-    phase_flip_probability,
     propagate_bloch,
     propagate_density,
     purity_rate,
@@ -282,13 +281,6 @@ class TestTrajectoryScan:
 
 
 class TestAnalyticHelpers:
-    def test_phase_flip_probability(self):
-        assert phase_flip_probability(0.1, 0.0) == 0.0
-        assert math.isclose(phase_flip_probability(0.1, 10.0),
-                            (1 - math.exp(-1.0)) / 2, rel_tol=1e-15)
-        with pytest.raises(DomainError):
-            phase_flip_probability(-0.1, 1.0)
-
     def test_free_analytic_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             free_dephasing_analytic(-0.1, V0, 1.0)
@@ -333,7 +325,7 @@ class TestTrajectoryCSV:
         traj = propagate_bloch(ch, ControlWaveform.zero(), V0, 5.0, n_samples=11)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert text.startswith(CSV_HEADER + "\n")
         assert "# termination=horizon" in text
         back = read_trajectory_csv(path)
@@ -353,7 +345,7 @@ class TestTrajectoryCSV:
 
     def test_malformed_rows_rejected_with_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(CSV_HEADER + "\n1,2,3\n")
+        path.write_text(CSV_HEADER + "\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 2"):
             read_trajectory_csv(path)
 
@@ -361,7 +353,7 @@ class TestTrajectoryCSV:
     def test_empty_or_non_numeric_cell_rejected(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n" + ",".join(["0"] * 9) + "\n"
-                        + ",".join(["0", cell] + ["0"] * 7) + "\n")
+                        + ",".join(["0", cell] + ["0"] * 7) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 3: .*'vx'"):
             read_trajectory_csv(path)
 
@@ -393,13 +385,13 @@ class TestTrajectoryCSV:
     def test_malformed_comment_lines_rejected(self, tmp_path, comment):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n" + ",".join(["0"] * 9) + "\n"
-                        + comment + "\n")
+                        + comment + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 3"):
             read_trajectory_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("time,x\n0,1\n")
+        path.write_text("time,x\n0,1\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="header"):
             read_trajectory_csv(path)
 

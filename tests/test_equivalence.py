@@ -21,7 +21,6 @@ from cohtrack.equivalence import (
     su2_to_so3,
     transform_channel,
     transform_state,
-    transform_tracking_fields,
     transport_waveform,
 )
 from cohtrack.errors import PastBreakdownError, ValidationError
@@ -124,14 +123,15 @@ class TestChannelTransforms:
 class TestFieldTransport:
     def test_identity_rotation_keeps_fields(self):
         r = Rotation3(np.eye(3))
-        got = transform_tracking_fields(V0, GAMMA, OMEGA0, r, 1.0)
+        got = tracking_fields_dephasing(transform_state(V0, r), GAMMA, OMEGA0, 1.0)
         want = tracking_fields_dephasing(V0, GAMMA, OMEGA0, 1.0)
         assert got == want
 
     def test_y_flip_fields_by_substitution(self):
         # Transformed problem starts at (-vx, vy, -vz); the fields follow
         # from substituting that state into the closed form (negative branch).
-        w1, w2 = transform_tracking_fields(V0, GAMMA, OMEGA0, Y_FLIP, 0.0)
+        w1, w2 = tracking_fields_dephasing(transform_state(V0, Y_FLIP), GAMMA,
+                                           OMEGA0, 0.0)
         s = -1.0   # sign of the transformed v_z(0)
         denom = math.sqrt(0.5)
         want1 = s * (-GAMMA * V0.vy + OMEGA0 * (-V0.vx)) / denom
@@ -154,7 +154,7 @@ class TestFieldTransport:
     def test_transform_past_breakdown_rejected(self):
         t_b = breakdown_time(V0, GAMMA)
         with pytest.raises(PastBreakdownError):
-            transform_tracking_fields(V0, GAMMA, OMEGA0, Y_FLIP, t_b)
+            tracking_fields_dephasing(transform_state(V0, Y_FLIP), GAMMA, OMEGA0, t_b)
 
     def test_dynamics_equivariance(self):
         # Propagate then rotate == rotate, transform channel and transport

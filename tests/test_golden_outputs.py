@@ -86,7 +86,7 @@ def produce(out_dir) -> dict:
     ]
     for command, obj in runs:
         config = out_dir / f"{obj['output']}.json"
-        config.write_text(json.dumps(obj))
+        config.write_text(json.dumps(obj), encoding="utf-8")
         assert main(["--out-dir", str(out_dir), command, str(config)]) == 0, obj
     plots = [
         (["track.csv", "track_clipped.csv"], "trajectory"),

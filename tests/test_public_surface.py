@@ -17,18 +17,18 @@ PUBLIC_NAMES = [
     "IntegratorConfig", "LAMBDAS", "LAMBDA_0", "LAMBDA_1", "LAMBDA_2", "PAULIS",
     "PastBreakdownError", "Rotation3", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "ScenarioConfig", "ScheduleInfeasibleError", "SingularPointError",
-    "SingularityReport", "SweepSpec", "Termination", "TrackingSolution", "Trajectory",
+    "SingularityReport", "SweepSpec", "Termination", "Trajectory",
     "Unitary2", "ValidationError", "WaveformDomainError", "bloch_to_density",
     "breakdown_time", "classify_singularity", "clip_time", "coherence",
-    "coherence_ramp_schedule", "control_hamiltonian", "control_matrix",
+    "coherence_ramp_schedule", "control_matrix",
     "density_to_bloch", "detect_breakdown", "emit_fields", "emit_plot",
     "equivalence_report", "free_dephasing_analytic", "gks_to_channel",
-    "is_dephasing_class", "is_unital", "lindblad_apply", "load_fixed_waveform",
-    "omega_magnitude_sq", "phase_flip_probability", "propagate_bloch",
+    "is_dephasing_class", "load_fixed_waveform",
+    "omega_magnitude_sq", "propagate_bloch",
     "propagate_density", "purity", "purity_rate", "read_trajectory_csv", "run_scenario",
     "run_suite", "simulate_tracked", "su2_to_so3", "sweep_breakdown",
     "tracked_waveform", "tracking_fields_dephasing", "tracking_fields_general",
-    "tracking_rhs", "transform_channel", "transform_state", "transform_tracking_fields",
+    "transform_channel", "transform_state",
     "transport_waveform", "validate_gks", "vz_tracked", "write_trajectory_csv",
 ]
 

@@ -19,6 +19,7 @@ from cohtrack.dynamics import (
     Termination,
     Trajectory,
     propagate_bloch,
+    purity_rate,
 )
 from cohtrack.errors import (
     DomainError,
@@ -28,7 +29,6 @@ from cohtrack.errors import (
 )
 from cohtrack.tracking import (
     SingularityReport,
-    TrackingSolution,
     _general_denominators,
     _general_numerators,
     breakdown_time,
@@ -41,7 +41,6 @@ from cohtrack.tracking import (
     tracked_waveform,
     tracking_fields_dephasing,
     tracking_fields_general,
-    tracking_rhs,
     vz_tracked,
 )
 from cohtrack.waveform import ControlWaveform
@@ -100,17 +99,10 @@ class TestTrackedSolution:
         with pytest.raises(PastBreakdownError):
             vz_tracked(V0, GAMMA, T_B + 0.1)
 
-    def test_solution_object_consistency(self):
-        sol = TrackingSolution(V0, GAMMA, OMEGA0)
-        assert sol.sign == 1
-        assert abs(sol.t_b - T_B) <= 1e-12
-        assert sol.vz(2.0) == vz_tracked(V0, GAMMA, 2.0)
-        assert sol.fields(2.0) == tracking_fields_dephasing(V0, GAMMA, OMEGA0, 2.0)
-
     def test_equator_start_rejected_with_diagnostic(self):
         eq = CoherenceVector(0.5, 0.5, 0.0)
         with pytest.raises(DomainError, match="no control is possible"):
-            TrackingSolution(eq, GAMMA, OMEGA0)
+            tracking_fields_dephasing(eq, GAMMA, OMEGA0, 0.0)
 
 
 class TestFieldSynthesis:
@@ -174,14 +166,11 @@ class TestFieldSynthesis:
         assert report.classification in ("nontrivial-a", "nontrivial-b")
 
     def test_tracking_rhs_matches_closed_form_rate(self):
-        # dv_z/dt = -gamma c / v_z for pure dephasing.
-        got = tracking_rhs(DEPHASING, V0)
+        # With v_x, v_y held, dp/dt = 2 v_z dv_z/dt, so dv_z/dt = -gamma c / v_z
+        # for pure dephasing.
+        got = purity_rate(DEPHASING, V0) / (2.0 * V0.vz)
         want = -GAMMA * 0.3 / V0.vz
         assert abs(got - want) <= 1e-12
-
-    def test_tracking_rhs_rejects_singular_vz(self):
-        with pytest.raises(SingularPointError):
-            tracking_rhs(DEPHASING, CoherenceVector(0.5, 0.5, 0.0))
 
 
 class TestSimulateTracked:
