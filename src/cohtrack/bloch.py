@@ -9,6 +9,9 @@ Conventions used throughout the package:
 * "coherence" means c = v_x^2 + v_y^2, the squared radius in the x-y plane.
 * The Lindblad-operator basis is fixed as F_1 = sigma_x, F_2 = sigma_y,
   F_3 = sigma_z; the GKS coefficient matrix A lives in this basis.
+* A generates dv/dt = (m0 + M(t)) v + k with the closed form
+  m0 = Re A + (Re A)^t - 2 tr(Re A) I and k_a = -2 eps_abc Im A_bc; a pure
+  dephasing rate gamma is A = diag(0, 0, gamma/2).
 """
 
 from __future__ import annotations
@@ -229,41 +232,17 @@ def coherence(v: CoherenceVector) -> float:
     return v.vx**2 + v.vy**2
 
 
-def lindblad_apply_raw(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply L(x) = (1/2) sum_ij a_ij ([F_i, x F_j] + [F_i x, F_j]) to a 2x2 matrix.
-
-    The Lindblad basis is the fixed Pauli triple; `x` need not be a state
-    (the conversion to the Bloch picture applies this to basis operators).
-    """
-    out = np.zeros((2, 2), dtype=complex)
-    for i, fi in enumerate(PAULIS):
-        for j, fj in enumerate(PAULIS):
-            aij = a[i, j]
-            if aij == 0:
-                continue
-            out += 0.5 * aij * (fi @ x @ fj - x @ fj @ fi + fi @ x @ fj - fj @ fi @ x)
-    return out
-
-
 def gks_to_channel(a: GKSMatrix) -> tuple[ChannelParams, BlochChannel]:
     """Convert a GKS matrix to the affine Bloch generator (m0, k).
 
-    Constructive: the Lindblad superoperator is applied to the basis
-    {I/2, sigma_x, sigma_y, sigma_z} and the results are projected back
-    onto Bloch coordinates. m0[a, b] = Tr(L(sigma_b / 2) sigma_a) and
-    k = Bloch image of L(I/2).
+    Closed form (Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 821,
+    1976): m0 = Re A + (Re A)^t - 2 tr(Re A) I, which is exactly symmetric,
+    and k_a = -2 eps_abc Im A_bc. Adding 0.0 turns a -0.0 entry into 0.0.
     """
-    mat = a.matrix
-    k = np.array([np.trace(lindblad_apply_raw(mat, 0.5 * IDENTITY2) @ s).real
-                  for s in PAULIS])
-    m0 = np.zeros((3, 3))
-    for b, sb in enumerate(PAULIS):
-        image = lindblad_apply_raw(mat, 0.5 * sb)
-        for al, sa in enumerate(PAULIS):
-            m0[al, b] = np.trace(image @ sa).real
-    # Scrub the (provably zero) numerical asymmetry so BlochChannel validates.
-    m0 = 0.5 * (m0 + m0.T)
-    k[np.abs(k) < 1e-15] = 0.0
+    re, im = a.matrix.real, a.matrix.imag
+    m0 = re + re.T - 2.0 * np.trace(re) * np.eye(3) + 0.0
+    k = -2.0 * np.array([im[1, 2] - im[2, 1], im[2, 0] - im[0, 2],
+                         im[0, 1] - im[1, 0]]) + 0.0
     ch = BlochChannel(m0, k)
     return ch.params(), ch
 

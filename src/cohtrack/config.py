@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
+from .bloch import CoherenceVector, GKSMatrix
 from .errors import CohtrackError, ConfigError
 from .svgplot import read_text
 
@@ -59,7 +59,13 @@ def _get(obj: dict, key: str, context: str):
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:   # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return x
 
 
 def parse_complex_matrix(rows, context: str) -> np.ndarray:
@@ -75,38 +81,25 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
     return [[[float(e.real), float(e.imag)] for e in row] for row in m]
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Either a pure-dephasing rate or an explicit GKS matrix."""
-
-    kind: str                       # "dephasing" | "gks"
-    gamma: float | None = None
-    gks: GKSMatrix | None = None
-
-    @classmethod
-    def from_dict(cls, obj, context="channel") -> "ChannelSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{context}: expected a JSON object")
-        kind = _get(obj, "type", context)
-        if kind == "dephasing":
-            _require_keys(obj, {"type", "gamma"}, context)
-            gamma = _number(_get(obj, "gamma", context), f"{context}.gamma")
-            if gamma < 0:
-                raise ConfigError(f"{context}.gamma: rate must be >= 0, got {gamma}")
-            return cls("dephasing", gamma=gamma)
-        if kind == "gks":
-            _require_keys(obj, {"type", "matrix"}, context)
-            mat = parse_complex_matrix(_get(obj, "matrix", context), f"{context}.matrix")
-            try:
-                return cls("gks", gks=GKSMatrix(mat))
-            except CohtrackError as e:
-                raise ConfigError(f"{context}.matrix: {e}") from None
-        raise ConfigError(f"{context}.type: must be 'dephasing' or 'gks', got {kind!r}")
-
-    def to_bloch_channel(self) -> BlochChannel:
-        if self.kind == "dephasing":
-            return BlochChannel.dephasing(self.gamma)
-        return gks_to_channel(self.gks)[1]
+def channel_from_dict(obj, context="channel") -> GKSMatrix:
+    """The GKS matrix of a channel; a dephasing rate gamma is diag(0, 0, gamma/2)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context}: expected a JSON object")
+    kind = _get(obj, "type", context)
+    if kind == "dephasing":
+        _require_keys(obj, {"type", "gamma"}, context)
+        gamma = _number(_get(obj, "gamma", context), f"{context}.gamma")
+        if gamma < 0:
+            raise ConfigError(f"{context}.gamma: rate must be >= 0, got {gamma}")
+        return GKSMatrix(np.diag([0.0, 0.0, gamma / 2.0]).astype(complex))
+    if kind == "gks":
+        _require_keys(obj, {"type", "matrix"}, context)
+        mat = parse_complex_matrix(_get(obj, "matrix", context), f"{context}.matrix")
+        try:
+            return GKSMatrix(mat)
+        except CohtrackError as e:
+            raise ConfigError(f"{context}.matrix: {e}") from None
+    raise ConfigError(f"{context}.type: must be 'dephasing' or 'gks', got {kind!r}")
 
 
 def initial_state_from_dict(obj, context="initial_state") -> CoherenceVector:
@@ -115,10 +108,10 @@ def initial_state_from_dict(obj, context="initial_state") -> CoherenceVector:
         raise ConfigError(f"{context}: expected a JSON object")
     if "vx" in obj or "vy" in obj or "vz" in obj:
         _require_keys(obj, {"vx", "vy", "vz"}, context)
+        v = [_number(_get(obj, key, context), f"{context}.{key}")
+             for key in ("vx", "vy", "vz")]
         try:
-            return CoherenceVector(_number(_get(obj, "vx", context), f"{context}.vx"),
-                                   _number(_get(obj, "vy", context), f"{context}.vy"),
-                                   _number(_get(obj, "vz", context), f"{context}.vz"))
+            return CoherenceVector(*v)
         except CohtrackError as e:
             raise ConfigError(f"{context}: {e}") from None
     _require_keys(obj, {"coherence", "purity", "phase"}, context)
@@ -175,7 +168,7 @@ _SCENARIO_KEYS = {"channel", "initial_state", "control", "t_max", "samples", "ou
 class ScenarioConfig:
     """A fully validated simulation scenario."""
 
-    channel: ChannelSpec
+    channel: GKSMatrix
     initial_state: CoherenceVector
     control: ControlSpec
     t_max: float
@@ -185,7 +178,7 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, obj) -> "ScenarioConfig":
         _require_keys(obj, _SCENARIO_KEYS, "config")
-        channel = ChannelSpec.from_dict(_get(obj, "channel", "config"))
+        channel = channel_from_dict(_get(obj, "channel", "config"))
         state = initial_state_from_dict(_get(obj, "initial_state", "config"))
         control = ControlSpec.from_dict(_get(obj, "control", "config"))
         t_max = _number(_get(obj, "t_max", "config"), "t_max")

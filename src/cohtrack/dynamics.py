@@ -177,6 +177,8 @@ def _output_grid(t_max: float, t_end: float | None,
     """
     if not t_max > 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
+    if n_samples < 2:
+        raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     grid = np.linspace(0.0, t_max, n_samples)
     cut = math.inf if t_end is None else t_end * (1.0 - BREAKDOWN_GUARD)
     if cut <= t_max:

@@ -52,7 +52,7 @@ def load_fixed_waveform(path) -> ControlWaveform:
 
 def run_scenario(cfg: ScenarioConfig, out_dir=".") -> tuple[Trajectory, Path]:
     """Execute a scenario and write its trajectory CSV; returns both."""
-    ch = cfg.channel.to_bloch_channel()
+    ch = gks_to_channel(cfg.channel)[1]
     v0 = cfg.initial_state
     control = cfg.control
     if control.mode == "track":
@@ -94,7 +94,7 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
     """Write the synthesized tracking fields as a fields-only CSV."""
     if cfg.control.mode != "track":
         raise ConfigError("fields emission requires a track-mode config")
-    dephasing, gamma = _is_dephasing_form(cfg.channel.to_bloch_channel())
+    dephasing, gamma = _is_dephasing_form(gks_to_channel(cfg.channel)[1])
     if not dephasing:
         raise ConfigError("fields emission requires a pure-dephasing channel")
     w = tracked_waveform(cfg.initial_state, gamma, cfg.control.omega0, cfg.control.omega_max)
@@ -107,12 +107,7 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
 
 def equivalence_report(cfg: ScenarioConfig, u: Unitary2) -> dict:
     """Transform the configured channel and state by a unitary; report both pictures."""
-    if cfg.channel.kind == "gks":
-        a = cfg.channel.gks
-    else:
-        # Promote the dephasing rate to its GKS matrix diag(0, 0, gamma/2).
-        from .bloch import GKSMatrix
-        a = GKSMatrix(np.diag([0.0, 0.0, cfg.channel.gamma / 2.0]).astype(complex))
+    a = cfg.channel
     r = su2_to_so3(u)
     a_new = transform_channel(a, u)
     _, ch = gks_to_channel(a)

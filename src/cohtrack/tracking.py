@@ -212,7 +212,7 @@ def _is_dephasing_form(ch: BlochChannel) -> tuple[bool, float]:
     m0, k = ch.m0, ch.k
     if np.linalg.norm(k) > 1e-12:
         return False, 0.0
-    gamma = -float(m0[0, 0])
+    gamma = 0.0 - float(m0[0, 0])   # 0.0, not -0.0, at m0[0, 0] = 0
     target = np.diag([-gamma, -gamma, 0.0])
     return bool(np.max(np.abs(m0 - target)) <= 1e-12), gamma
 

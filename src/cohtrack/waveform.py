@@ -68,10 +68,14 @@ class ControlWaveform:
     def unchecked(self):
         """The raw field function, after one checked evaluation at t = 0.
 
-        The function skips the domain and shape checks of `__call__`, so a
-        caller may only evaluate it at times inside [0, t_end).
+        Fields that are not finite at t = 0 raise ValidationError, since no
+        integrator can step through them. The function skips the domain and
+        shape checks of `__call__`, so a caller may only evaluate it at times
+        inside [0, t_end).
         """
-        self(0.0)
+        w0 = self(0.0)
+        if not np.all(np.isfinite(w0)):
+            raise ValidationError(f"waveform fields at t = 0 must be finite, got {w0}")
         return self._func
 
     @classmethod

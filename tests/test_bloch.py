@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohtrack.bloch import (
+    IDENTITY2,
     LAMBDA_0,
     LAMBDA_1,
     LAMBDA_2,
@@ -24,7 +25,6 @@ from cohtrack.bloch import (
     control_matrix,
     density_to_bloch,
     gks_to_channel,
-    lindblad_apply_raw,
     purity,
     validate_gks,
 )
@@ -32,6 +32,50 @@ from cohtrack.dynamics import _COMM_MY, _COMM_X, _COMM_Z
 from cohtrack.errors import DomainError, ValidationError
 
 unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def lindblad_apply_raw(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply L(x) = (1/2) sum_ij a_ij ([F_i, x F_j] + [F_i x, F_j]) to a 2x2 matrix.
+
+    The constructive reference of `gks_to_channel`'s closed form. The
+    Lindblad basis is the fixed Pauli triple; `x` need not be a state.
+    """
+    out = np.zeros((2, 2), dtype=complex)
+    for i, fi in enumerate(PAULIS):
+        for j, fj in enumerate(PAULIS):
+            aij = a[i, j]
+            if aij == 0:
+                continue
+            out += 0.5 * aij * (fi @ x @ fj - x @ fj @ fi + fi @ x @ fj - fj @ fi @ x)
+    return out
+
+
+def constructive_generator(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m0, k) from L applied to the basis {I/2, sigma_b/2}, projected back.
+
+    m0[a, b] = Tr(L(sigma_b / 2) sigma_a) and k = Bloch image of L(I/2).
+    """
+    k = np.array([np.trace(lindblad_apply_raw(a, 0.5 * IDENTITY2) @ s).real
+                  for s in PAULIS])
+    m0 = np.array([[np.trace(lindblad_apply_raw(a, 0.5 * sb) @ sa).real
+                    for sb in PAULIS] for sa in PAULIS])
+    return m0, k
+
+
+@st.composite
+def psd_matrices(draw):
+    """A = G G^H with G of rank 0 to 3, real or complex.
+
+    Zero, rank-one and real matrices are all drawn.
+    """
+    rank = draw(st.integers(0, 3))
+    real = draw(st.booleans())
+    parts = st.lists(unit_interval, min_size=3 * rank, max_size=3 * rank)
+    g = np.array(draw(parts)).reshape(3, rank)
+    if not real:
+        g = g + 1j * np.array(draw(parts)).reshape(3, rank)
+    a = (g @ g.conj().T).astype(complex)
+    return 0.5 * (a + a.conj().T)
 
 
 def ball_vector(vx, vy, vz):
@@ -157,14 +201,31 @@ class TestGKSValidation:
 
 class TestChannelConversion:
     def test_dephasing_gks_to_bloch(self):
-        _, ch = gks_to_channel(GKSMatrix(np.diag([0.0, 0.0, 0.05]).astype(complex)))
-        assert np.allclose(ch.m0, np.diag([-0.1, -0.1, 0.0]), atol=1e-15)
-        assert np.allclose(ch.k, 0.0, atol=1e-15)
+        # A rate gamma is the GKS matrix diag(0, 0, gamma/2), which maps to
+        # the dephasing channel exactly.
+        for gamma in (0.0, 1e-300, 0.037, 0.1, 1.0):
+            a = GKSMatrix(np.diag([0.0, 0.0, gamma / 2.0]).astype(complex))
+            _, ch = gks_to_channel(a)
+            ref = BlochChannel.dephasing(gamma)
+            assert np.array_equal(ch.m0, ref.m0)
+            assert np.array_equal(ch.k, ref.k)
 
     def test_zero_matrix_gives_zero_generator(self):
         _, ch = gks_to_channel(GKSMatrix(np.zeros((3, 3), dtype=complex)))
         assert np.array_equal(ch.m0, np.zeros((3, 3)))
         assert np.array_equal(ch.k, np.zeros(3))
+
+    @given(psd_matrices())
+    @settings(max_examples=200)
+    def test_closed_form_matches_constructive_route(self, a):
+        _, ch = gks_to_channel(GKSMatrix(a))
+        m0, k = constructive_generator(a)
+        tol = 1e-15 * max(1.0, float(np.linalg.norm(a)))
+        assert np.max(np.abs(ch.m0 - m0)) <= tol
+        assert np.max(np.abs(ch.k - k)) <= tol
+        assert np.array_equal(ch.m0, ch.m0.T)
+        assert not np.any(np.signbit(ch.m0[ch.m0 == 0.0]))
+        assert not np.any(np.signbit(ch.k[ch.k == 0.0]))
 
     def test_random_gks_matches_superoperator_action(self):
         # The affine generator must reproduce the Lindbladian on every basis

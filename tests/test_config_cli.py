@@ -13,11 +13,14 @@ import pytest
 
 import cohtrack
 from cohtrack import cli
+from cohtrack.bloch import BlochChannel, gks_to_channel
 from cohtrack.cli import main
 from cohtrack.config import ScenarioConfig, SweepSpec, parse_json
-from cohtrack.dynamics import read_trajectory_csv
+from cohtrack.dynamics import read_trajectory_csv, write_trajectory_csv
 from cohtrack.errors import ConfigError, ValidationError
-from cohtrack.svgplot import read_csv_columns
+from cohtrack.scenarios import FIELDS_HEADER
+from cohtrack.svgplot import read_csv_columns, write_table
+from cohtrack.tracking import classify_singularity, simulate_tracked
 
 TRACK_CONFIG = {
     "channel": {"type": "dephasing", "gamma": 0.1},
@@ -72,7 +75,7 @@ class TestScenarioConfig:
                        [[0.0, 0.0], [0.0, 0.0], [0.05, 0.0]]],
         })
         cfg = ScenarioConfig.from_dict(obj)
-        ch = cfg.channel.to_bloch_channel()
+        ch = gks_to_channel(cfg.channel)[1]
         assert np.allclose(ch.m0, np.diag([-0.1, -0.1, 0.0]), atol=1e-15)
 
     def test_invalid_json_rejected(self):
@@ -118,6 +121,26 @@ class TestScenarioConfig:
         text = json.dumps(dict(TRACK_CONFIG, t_max=10.5)).replace("10.5", literal)
         with pytest.raises(ConfigError, match=f"non-finite number {literal} "):
             ScenarioConfig.from_json(text)
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"control": {"mode": "track", "omega0": math.nan}}, "control.omega0"),
+        ({"channel": {"type": "dephasing", "gamma": math.inf}}, "channel.gamma"),
+        ({"initial_state": {"vx": 0.1, "vy": math.nan, "vz": 0.5}}, "initial_state.vy"),
+        ({"t_max": math.inf}, "t_max"),
+        ({"t_max": 10**400}, "t_max"),
+    ], ids=["omega0", "gamma", "vy", "t_max-inf", "t_max-huge-int"])
+    def test_library_non_finite_number_names_its_field(self, edit, field):
+        # A library caller hands from_dict Python numbers that parse_json
+        # never sees; they are refused the same way.
+        with pytest.raises(ConfigError, match=f"^{field}: expected a finite number"):
+            ScenarioConfig.from_dict(dict(TRACK_CONFIG, **edit))
+
+    def test_library_non_finite_sweep_rejected(self):
+        grid = {"min": 0.1, "max": 0.9, "count": 2}
+        with pytest.raises(ConfigError, match="^sweep.gamma: expected a finite number"):
+            SweepSpec.from_dict({"gamma": math.nan, "c": grid, "p": grid})
+        with pytest.raises(ConfigError, match="^sweep.c.max: expected a finite number"):
+            SweepSpec.from_dict({"gamma": 0.1, "c": dict(grid, max=math.inf), "p": grid})
 
     def test_non_finite_sweep_and_unitary_rejected(self, tmp_path):
         spec = write_config(tmp_path, {
@@ -187,6 +210,30 @@ class TestCLITrajectories:
         main(["--out-dir", str(tmp_path / "b"), "track", cfg])
         assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
                 == (tmp_path / "b" / "trajectory.csv").read_bytes())
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-300, 0.1])
+    @pytest.mark.parametrize("omega0", [0.0, 4.0])
+    def test_dephasing_config_runs_the_dephasing_channel(self, tmp_path, gamma, omega0):
+        # The rate's GKS matrix diag(0, 0, gamma/2) maps to the dephasing
+        # channel itself: the CLI writes the bytes of a library run on it.
+        obj = dict(TRACK_CONFIG, channel={"type": "dephasing", "gamma": gamma},
+                   control={"mode": "track", "omega0": omega0}, samples=41)
+        fields_obj = dict(obj, output="fields.csv")
+        assert main(["--out-dir", str(tmp_path), "track",
+                     write_config(tmp_path, obj, "track.json")]) == 0
+        assert main(["--out-dir", str(tmp_path), "fields",
+                     write_config(tmp_path, fields_obj, "fields.json")]) == 0
+        v0 = ScenarioConfig.from_dict(obj).initial_state
+        ch = BlochChannel.dephasing(gamma)
+        traj = simulate_tracked(ch, v0, omega0, obj["t_max"], n_samples=obj["samples"])
+        write_trajectory_csv(traj.with_singularity(classify_singularity(traj, ch)),
+                             tmp_path / "library.csv")
+        write_table(tmp_path / "library_fields.csv", FIELDS_HEADER,
+                    np.column_stack([traj.t, traj.omega]).tolist())
+        assert ((tmp_path / "trajectory.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes())
+        assert ((tmp_path / "fields.csv").read_bytes()
+                == (tmp_path / "library_fields.csv").read_bytes())
 
     @pytest.mark.parametrize("t_max", [2.0, 10.0])   # before and after t_b = 8.33
     def test_fields_sampled_on_track_grid(self, tmp_path, t_max):

@@ -173,17 +173,29 @@ class TestPropagateBloch:
         with pytest.raises(DomainError):
             propagate_bloch(ZERO_CHANNEL, ControlWaveform.zero(), V0, -1.0)
 
-    def test_wrong_field_count_rejected_before_the_solver(self, monkeypatch):
-        def no_solver(*args, **kwargs):
-            raise AssertionError("the solver ran")
-
-        monkeypatch.setattr(dynamics, "solve_ivp", no_solver)
+    def test_wrong_field_count_rejected_before_the_solver(self, no_solver):
         w = ControlWaveform(lambda t: (1.0, 2.0))
         with pytest.raises(ValidationError, match="3 fields"):
             propagate_bloch(ZERO_CHANNEL, w, V0, 1.0)
         a = GKSMatrix(np.zeros((3, 3), dtype=complex))
         with pytest.raises(ValidationError, match="3 fields"):
             propagate_density(a, w, bloch_to_density(V0), 1.0)
+
+    def test_non_finite_fields_rejected_before_the_solver(self, no_solver):
+        # RK45 cannot step through NaN fields; before this check such a run
+        # never returned.
+        w = ControlWaveform(lambda t: (math.nan, 0.0, 0.0))
+        with pytest.raises(ValidationError, match="finite"):
+            propagate_bloch(ZERO_CHANNEL, w, V0, 10.0)
+        a = GKSMatrix(np.zeros((3, 3), dtype=complex))
+        with pytest.raises(ValidationError, match="finite"):
+            propagate_density(a, w, bloch_to_density(V0), 10.0)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, no_solver, n_samples):
+        with pytest.raises(ValidationError, match="n_samples"):
+            propagate_bloch(ZERO_CHANNEL, ControlWaveform.zero(), V0, 10.0,
+                            n_samples=n_samples)
 
     def test_solver_failure_keeps_the_samples_before_it(self, monkeypatch):
         # Fields that turn NaN at t = 1.05 make RK45 shrink its step below

@@ -26,6 +26,7 @@ from cohtrack.errors import (
     PastBreakdownError,
     ScheduleInfeasibleError,
     SingularPointError,
+    ValidationError,
 )
 from cohtrack.tracking import (
     SingularityReport,
@@ -197,6 +198,19 @@ class TestSimulateTracked:
         eq = CoherenceVector(0.5, 0.5, 0.0)
         with pytest.raises(DomainError, match="no control is possible"):
             simulate_tracked(DEPHASING, eq, OMEGA0, t_max=1.0)
+
+    def test_non_finite_omega0_rejected_before_the_solver(self, no_solver):
+        # Before the waveform check at t = 0 this run never returned.
+        with pytest.raises(ValidationError, match="finite"):
+            simulate_tracked(DEPHASING, V0, math.nan, 10.0, n_samples=11)
+
+    @pytest.mark.parametrize("channel", ["dephasing", "feedback"])
+    def test_fewer_than_two_samples_rejected(self, channel):
+        ch = DEPHASING if channel == "dephasing" else BlochChannel(
+            np.diag([-GAMMA, -1.2 * GAMMA, 0.0]), np.zeros(3))
+        for n_samples in (0, 1):
+            with pytest.raises(ValidationError, match="n_samples"):
+                simulate_tracked(ch, V0, OMEGA0, 10.0, n_samples=n_samples)
 
     def test_general_channel_uses_state_feedback(self):
         # A slightly anisotropic unital channel is not pure-dephasing form,
