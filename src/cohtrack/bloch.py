@@ -47,6 +47,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _entry_scale(a) -> float:
+    """max(1, largest |entry|): the scale a relative tolerance is taken at."""
+    return max(1.0, float(np.max(np.abs(a))))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated 2x2 qubit density matrix."""
@@ -147,7 +152,7 @@ class BlochChannel:
         if k.shape != (3,):
             raise ValidationError(f"k must be a 3-vector, got {k.shape}")
         sym = np.max(np.abs(m0 - m0.T))
-        if sym > HERMITICITY_TOL:
+        if sym > HERMITICITY_TOL * _entry_scale(m0):
             raise ValidationError(f"m0 not symmetric: residual {sym:.3e}")
         if np.any(np.diag(m0) > HERMITICITY_TOL):
             raise ValidationError("m0 diagonal must be non-positive")
@@ -187,7 +192,7 @@ class GKSValidationReport:
 
 
 def validate_gks(a) -> GKSValidationReport:
-    """Check that a GKS matrix or raw array is finite, Hermitian and PSD."""
+    """Check that a GKS matrix or raw array is finite, Hermitian and PSD at its scale."""
     if isinstance(a, GKSMatrix):
         a = a.matrix
     a = np.asarray(a, dtype=complex)
@@ -198,7 +203,7 @@ def validate_gks(a) -> GKSValidationReport:
         return GKSValidationReport(False, math.nan, math.nan,
                                    "GKS matrix has non-finite entries")
     herm = float(np.max(np.abs(a - a.conj().T)))
-    if herm > HERMITICITY_TOL:
+    if herm > HERMITICITY_TOL * _entry_scale(a):
         return GKSValidationReport(False, herm, -math.inf,
                                    f"GKS matrix not Hermitian: residual {herm:.3e}")
     min_eig = float(np.linalg.eigvalsh(a).min())

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import PAULIS, BlochChannel, CoherenceVector, GKSMatrix, gks_to_channel
+from .bloch import _entry_scale
 from .errors import ValidationError
 from .waveform import ControlWaveform
+
+DEPHASING_TOL = 1e-10   # of the class test, relative to max(1, largest |eigenvalue|)
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,9 @@ def transform_channel(a: GKSMatrix, u: Unitary2) -> GKSMatrix:
     a_new = GKSMatrix(r @ a.matrix @ r.T)
     _, ch = gks_to_channel(a)
     _, ch_new = gks_to_channel(a_new)
-    m0_rot = r @ ch.m0 @ r.T
-    k_rot = r @ ch.k
-    if (np.max(np.abs(ch_new.m0 - m0_rot)) > 1e-12
-            or np.max(np.abs(ch_new.k - k_rot)) > 1e-12):
+    rotated = np.append(r @ ch.m0 @ r.T, r @ ch.k)
+    if (np.max(np.abs(np.append(ch_new.m0, ch_new.k) - rotated))
+            > 1e-12 * _entry_scale(rotated)):
         raise ValidationError("channel transform cross-check failed: the two "
                               "transformation routes disagree beyond 1e-12")
     return a_new
@@ -113,26 +115,34 @@ def transport_waveform(w: ControlWaveform, r: Rotation3) -> ControlWaveform:
     return ControlWaveform(rotated, t_end=w.t_end, breakpoints=w.breakpoints)
 
 
+def _dephasing_spectrum(ch: BlochChannel):
+    """(gamma or None for a non-member, eigenvectors of m0, tol) of the class test."""
+    eigvals, eigvecs = np.linalg.eigh(ch.m0)   # ascending: -gamma, -gamma, 0
+    tol = DEPHASING_TOL * _entry_scale(eigvals)
+    if not (np.linalg.norm(ch.k) <= tol and abs(eigvals[2]) <= tol
+            and eigvals[1] - eigvals[0] <= tol):   # a NaN fails too
+        return None, eigvecs, tol
+    return max(0.0, -0.5 * float(eigvals[0] + eigvals[1])), eigvecs, tol
+
+
 def is_dephasing_class(ch: BlochChannel) -> tuple[bool, Rotation3 | None, float | None]:
     """Test membership in the unitary equivalence class of pure dephasing.
 
     True iff the channel is unital and the spectrum of m0 is {-gamma, -gamma, 0}
-    for some gamma >= 0. On success also returns gamma and a rotation whose
-    columns are eigenvectors ordered so R^t m0 R = diag(-gamma, -gamma, 0).
+    for some gamma >= 0, both within DEPHASING_TOL of the channel's scale. On
+    success also returns gamma and a rotation whose columns are eigenvectors
+    ordered so R^t m0 R = diag(-gamma, -gamma, 0).
     """
-    if np.linalg.norm(ch.k) > 1e-12:
+    gamma, eigvecs, _ = _dephasing_spectrum(ch)
+    if gamma is None:
         return False, None, None
-    eigvals, eigvecs = np.linalg.eigh(ch.m0)   # ascending: -gamma, -gamma, 0
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    if abs(eigvals[2]) > 1e-10 * scale:
-        return False, None, None
-    if abs(eigvals[0] - eigvals[1]) > 1e-10 * scale:
-        return False, None, None
-    gamma = -0.5 * float(eigvals[0] + eigvals[1])
-    if gamma < -1e-10:
-        return False, None, None
-    gamma = max(0.0, gamma)
-    r = eigvecs.copy()
-    if np.linalg.det(r) < 0:
-        r[:, 0] = -r[:, 0]
+    r = eigvecs * [np.sign(np.linalg.det(eigvecs)), 1.0, 1.0]   # a proper rotation
     return True, Rotation3(r), gamma
+
+
+def _z_dephasing_rate(ch: BlochChannel) -> float | None:
+    """Class gamma when m0 = diag(-gamma, -gamma, 0) within tol: dephasing about z."""
+    gamma, _, tol = _dephasing_spectrum(ch)
+    if gamma is None or np.max(np.abs(ch.m0 - np.diag([-gamma, -gamma, 0.0]))) > tol:
+        return None
+    return gamma

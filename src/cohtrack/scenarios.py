@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ from .config import ScenarioConfig, SweepSpec, complex_matrix_to_json
 from .dynamics import Trajectory, _output_grid, propagate_bloch, write_trajectory_csv
 from .equivalence import (
     Unitary2,
+    _z_dephasing_rate,
     is_dephasing_class,
     su2_to_so3,
     transform_channel,
@@ -20,7 +20,7 @@ from .equivalence import (
 from .errors import ConfigError, ValidationError
 from .svgplot import CELL, read_csv_columns, write_table, write_text
 from .tracking import (
-    _is_dephasing_form,
+    _breakdown,
     breakdown_time,
     classify_singularity,
     simulate_tracked,
@@ -74,11 +74,8 @@ def sweep_breakdown(spec: SweepSpec, out_dir=".") -> Path:
     """Write the breakdown-time grid CSV `c,p,t_b`; infeasible cells are empty."""
     c_vals, p_vals = spec.c_grid.values(), spec.p_grid.values()
     c, p = np.meshgrid(c_vals, p_vals, indexing="ij")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_b = np.where((c == 0.0) | (spec.gamma == 0.0), math.inf,
-                       (p - c) / (2.0 * spec.gamma * c))
     infeasible = (c > p).tolist()
-    t_b = t_b.tolist()
+    t_b = _breakdown(p - c, c, spec.gamma)[1].tolist()
     p_strs = [CELL % x for x in p_vals]
     lines = ["c,p,t_b"]
     for i, c_str in enumerate(CELL % x for x in c_vals):
@@ -94,9 +91,9 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
     """Write the synthesized tracking fields as a fields-only CSV."""
     if cfg.control.mode != "track":
         raise ConfigError("fields emission requires a track-mode config")
-    dephasing, gamma = _is_dephasing_form(gks_to_channel(cfg.channel)[1])
-    if not dephasing:
-        raise ConfigError("fields emission requires a pure-dephasing channel")
+    gamma = _z_dephasing_rate(gks_to_channel(cfg.channel)[1])
+    if gamma is None:
+        raise ConfigError("fields emission requires a channel that dephases about z")
     w = tracked_waveform(cfg.initial_state, gamma, cfg.control.omega0, cfg.control.omega_max)
     grid, _ = _output_grid(cfg.t_max, w.t_end, cfg.samples)
     fields = w.unchecked()   # the grid lies in [0, t_end)
@@ -114,8 +111,6 @@ def equivalence_report(cfg: ScenarioConfig, u: Unitary2) -> dict:
     _, ch_new = gks_to_channel(a_new)
     v0 = cfg.initial_state
     v_new = transform_state(v0, r)
-    member, _, gamma = is_dephasing_class(ch)
-    member_new, _, gamma_new = is_dephasing_class(ch_new)
     report = {
         "rotation": [[float(x) for x in row] for row in r.matrix],
         "gks_before": complex_matrix_to_json(a.matrix),
@@ -124,11 +119,11 @@ def equivalence_report(cfg: ScenarioConfig, u: Unitary2) -> dict:
         "k_after": [float(x) for x in ch_new.k],
         "state_before": [v0.vx, v0.vy, v0.vz],
         "state_after": [v_new.vx, v_new.vy, v_new.vz],
-        "dephasing_class_before": {"member": member, "gamma": gamma},
-        "dephasing_class_after": {"member": member_new, "gamma": gamma_new},
     }
-    if member and v0.vz != 0.0:
-        report["breakdown_time_before"] = breakdown_time(v0, gamma)
-    if member_new and v_new.vz != 0.0:
-        report["breakdown_time_after"] = breakdown_time(v_new, gamma_new)
+    for when, channel, v in (("before", ch, v0), ("after", ch_new, v_new)):
+        member, _, gamma = is_dephasing_class(channel)
+        report[f"dephasing_class_{when}"] = {"member": member, "gamma": gamma}
+        rate = _z_dephasing_rate(channel)   # t_b only where the closed form holds
+        if rate is not None and v.vz != 0.0:
+            report[f"breakdown_time_{when}"] = breakdown_time(v, rate)
     return report

@@ -35,6 +35,7 @@ from .dynamics import (
     _trajectory,
     propagate_bloch,
 )
+from .equivalence import _z_dephasing_rate
 from .errors import (
     DomainError,
     PastBreakdownError,
@@ -61,20 +62,23 @@ def breakdown_time(v0: CoherenceVector, gamma: float) -> float:
     2 gamma c underflows to zero (t_b overflows); zero when the state starts
     on the equator (c > 0, v_z(0) = 0).
     """
+    return float(_breakdown(v0.vz**2, coherence(v0), gamma)[1])
+
+
+def _breakdown(vz0_sq, c, gamma: float):
+    """(2 gamma c, t_b) from v_z(0)^2 and c, numbers or arrays: the one t_b formula."""
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    c = coherence(v0)
-    two_gamma_c = 2.0 * gamma * c
-    if c == 0.0 or two_gamma_c == 0.0:
-        return math.inf
-    return v0.vz**2 / two_gamma_c
+    two_gamma_c = 2.0 * gamma * np.asarray(c, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_b = np.where((c == 0.0) | (two_gamma_c == 0.0), math.inf,
+                       vz0_sq / two_gamma_c)
+    return two_gamma_c, t_b
 
 
 def vz_tracked(v0: CoherenceVector, gamma: float, t: float) -> float:
     """Tracked z-component s * sqrt(v_z(0)^2 - 2 gamma c t) on [0, t_b]."""
-    terms = _dephasing_terms(v0, gamma, 0.0)
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    terms = _dephasing_terms(v0, gamma, 0.0, t)
     if t > terms.t_b:
         raise PastBreakdownError(t, terms.t_b)
     return terms.vz(t)
@@ -116,18 +120,22 @@ class _DephasingTerms:
         return self.num1 / denom, self.num2 / denom
 
 
-def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float) -> _DephasingTerms:
-    """Checks gamma >= 0 and v_z(0) != 0 and builds the closed-form terms."""
-    t_b = breakdown_time(v0, gamma)
+def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float,
+                     t: float = 0.0) -> _DephasingTerms:
+    """Checks gamma >= 0, v_z(0) != 0 and t >= 0 and builds the closed-form terms."""
+    vz0_sq = v0.vz**2
+    two_gamma_c, t_b = map(float, _breakdown(vz0_sq, coherence(v0), gamma))
     if v0.vz == 0.0:
         raise DomainError("v_z(0) = 0: no control is possible")
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
     s = 1.0 if v0.vz > 0 else -1.0
     return _DephasingTerms(
         sign=s,
         num1=s * (-gamma * v0.vy + omega0 * v0.vx),
         num2=s * (-gamma * v0.vx - omega0 * v0.vy),
-        vz0_sq=v0.vz**2,
-        two_gamma_c=2.0 * gamma * coherence(v0),
+        vz0_sq=vz0_sq,
+        two_gamma_c=two_gamma_c,
         t_b=t_b,
         guard_end=t_b * (1.0 - BREAKDOWN_GUARD),
     )
@@ -136,10 +144,7 @@ def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float) -> _Depha
 def tracking_fields_dephasing(v0: CoherenceVector, gamma: float, omega0: float,
                               t: float) -> tuple[float, float]:
     """Closed-form in-plane fields holding v_x, v_y constant under dephasing."""
-    terms = _dephasing_terms(v0, gamma, omega0)
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return terms.fields(t)
+    return _dephasing_terms(v0, gamma, omega0, t).fields(t)
 
 
 def _general_numerators(ch: BlochChannel, v: np.ndarray,
@@ -200,21 +205,8 @@ def omega_magnitude_sq(v0: CoherenceVector, gamma: float, omega0: float,
     Equals (gamma^2 + omega0^2) c / (v_z(0)^2 - 2 gamma c t) + omega0^2, which
     matches omega1^2 + omega2^2 + omega0^2 of the synthesized fields.
     """
-    terms = _dephasing_terms(v0, gamma, omega0)
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    denom = terms.denominator(t)
-    c = coherence(v0)
-    return (gamma**2 + omega0**2) * c / denom**2 + omega0**2
-
-
-def _is_dephasing_form(ch: BlochChannel) -> tuple[bool, float]:
-    m0, k = ch.m0, ch.k
-    if np.linalg.norm(k) > 1e-12:
-        return False, 0.0
-    gamma = 0.0 - float(m0[0, 0])   # 0.0, not -0.0, at m0[0, 0] = 0
-    target = np.diag([-gamma, -gamma, 0.0])
-    return bool(np.max(np.abs(m0 - target)) <= 1e-12), gamma
+    denom = _dephasing_terms(v0, gamma, omega0, t).denominator(t)
+    return (gamma**2 + omega0**2) * coherence(v0) / denom**2 + omega0**2
 
 
 def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
@@ -276,15 +268,16 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
                      n_samples: int = 501) -> Trajectory:
     """Propagate the channel under the synthesized coherence-holding fields.
 
-    Pure-dephasing channels use the closed-form fields; any other channel is
-    driven by state-feedback fields recomputed from the current state at every
-    integrator evaluation. Termination records horizon, breakdown at t_b, or
-    the first clip time when omega_max is given.
+    Channels that dephase about z (m0 = diag(-gamma, -gamma, 0) to the
+    dephasing-class tolerance) use the closed-form fields; any other channel
+    is driven by state-feedback fields recomputed from the current state at
+    every integrator evaluation. Termination records horizon, breakdown at
+    t_b, or the first clip time when omega_max is given.
     """
     if v0.vz == 0.0:
         raise DomainError("v_z(0) = 0: no control is possible")
-    dephasing, gamma = _is_dephasing_form(ch)
-    if dephasing:
+    gamma = _z_dephasing_rate(ch)
+    if gamma is not None:
         w = tracked_waveform(v0, gamma, omega0, omega_max)
         traj = propagate_bloch(ch, w, v0, t_max, cfg, n_samples)
         if omega_max is not None:

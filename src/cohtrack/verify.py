@@ -76,10 +76,6 @@ def _result(name, measured, tolerance, detail=""):
                        float(tolerance), detail)
 
 
-def _dephasing_channel(gamma=GAMMA) -> BlochChannel:
-    return BlochChannel.dephasing(gamma)
-
-
 def _random_gks(rng, unital=False, scale=0.3) -> GKSMatrix:
     if unital:
         g = rng.normal(size=(3, 3))
@@ -122,7 +118,8 @@ def check_breakdown_time(seed=DEFAULT_SEED):
     start = time.perf_counter()
     t_b = breakdown_time(FIG_V0, GAMMA)
     results = [_result("breakdown-time/closed-form", abs(t_b - T_B_EXPECTED), 1e-12)]
-    detected = detect_breakdown(_dephasing_channel(), FIG_V0, OMEGA0, t_cap=12.0)
+    detected = detect_breakdown(BlochChannel.dephasing(GAMMA), FIG_V0, OMEGA0,
+                                t_cap=12.0)
     results.append(_result("breakdown-time/detected",
                            abs(detected - T_B_EXPECTED) / T_B_EXPECTED, 0.01,
                            f"detected t_b={detected:.6g}"))
@@ -133,7 +130,7 @@ def check_breakdown_time(seed=DEFAULT_SEED):
 
 def check_fig2(seed=DEFAULT_SEED):
     start = time.perf_counter()
-    ch = _dephasing_channel()
+    ch = BlochChannel.dephasing(GAMMA)
     t_b = breakdown_time(FIG_V0, GAMMA)
     traj = simulate_tracked(ch, FIG_V0, OMEGA0, t_max=10.0, n_samples=2001)
     mask = traj.t <= 0.99 * t_b
@@ -202,7 +199,7 @@ def check_fig1_sweep(seed=DEFAULT_SEED):
         c, p, t_b = feasible[i]
         r = math.sqrt(c / 2.0)
         v0 = CoherenceVector(r, r, math.sqrt(p - c))
-        detected = detect_breakdown(_dephasing_channel(), v0, OMEGA0,
+        detected = detect_breakdown(BlochChannel.dephasing(GAMMA), v0, OMEGA0,
                                     t_cap=1.5 * t_b)
         worst_rel = max(worst_rel, abs(detected - t_b) / t_b)
     results.append(_result("fig1/simulation-spot-check", worst_rel, 0.01))
@@ -313,7 +310,7 @@ def check_equivalence(seed=DEFAULT_SEED):
 
 
 def check_singularity(seed=DEFAULT_SEED):
-    ch = _dephasing_channel()
+    ch = BlochChannel.dephasing(GAMMA)
     t_b = breakdown_time(FIG_V0, GAMMA)
     traj = simulate_tracked(ch, FIG_V0, OMEGA0, t_max=10.0)
     report = classify_singularity(traj, ch)
@@ -334,7 +331,7 @@ def check_singularity(seed=DEFAULT_SEED):
     results.append(_result("singularity/equator-uncontrollable", 0.0 if ok_b else 1.0,
                            0.0, detail))
 
-    ch0 = _dephasing_channel(0.0)
+    ch0 = BlochChannel.dephasing(0.0)
     traj0 = simulate_tracked(ch0, FIG_V0, OMEGA0, t_max=5.0)
     rep0 = classify_singularity(traj0, ch0)
     ok_c = rep0.classification == "none"

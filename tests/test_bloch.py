@@ -187,6 +187,35 @@ class TestGKSValidation:
     def test_wrong_shape_rejected(self):
         assert not validate_gks(np.eye(2, dtype=complex)).valid
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e10])
+    def test_large_valid_matrix_accepted(self, scale):
+        # The rounding residual of g g^+ grows with its entries; Hermiticity
+        # is judged at max(1, largest |entry|), as the PSD slack is at |A|.
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        report = validate_gks(scale * (0.2 * g @ g.conj().T))
+        assert report.valid, report.message
+        GKSMatrix(scale * (0.2 * g @ g.conj().T))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e10])
+    def test_relative_asymmetry_rejected_at_every_scale(self, scale):
+        a = scale * np.eye(3, dtype=complex)
+        a[0, 1] = 1e-6 * scale
+        assert "Hermitian" in validate_gks(a).message
+        m0 = -scale * np.eye(3)
+        m0[0, 1] = 1e-6 * scale
+        with pytest.raises(ValidationError, match="symmetric"):
+            BlochChannel(m0, np.zeros(3))
+
+    def test_rotated_large_generator_accepted(self):
+        # R diag(-g, -g, 0) R^t is symmetric only up to rounding, which at
+        # g = 1e6 exceeds 1e-12.
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m0 = q @ np.diag([-1e6, -1e6, -1e-3]) @ q.T
+        assert np.max(np.abs(m0 - m0.T)) > 1e-12
+        BlochChannel(m0, np.zeros(3))
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_entry_rejected(self, entry):
         # A NaN passes the Hermiticity and eigenvalue comparisons unnoticed.

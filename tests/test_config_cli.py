@@ -316,6 +316,17 @@ class TestCLISweepAndPlots:
             else:
                 assert math.isclose(t_b, (p - c) / (0.2 * c), rel_tol=1e-15)
 
+    def test_subnormal_rate_on_the_equator_is_infinite(self, tmp_path):
+        # 2 gamma c underflows to 0 and v_z(0) = 0: breakdown_time gives inf.
+        cfg = write_config(tmp_path, {
+            "gamma": 5e-324,
+            "c": {"min": 0.2, "max": 0.2, "count": 1},
+            "p": {"min": 0.2, "max": 0.2, "count": 1},
+            "output": "sweep.csv",
+        })
+        assert main(["--out-dir", str(tmp_path), "sweep", cfg]) == 0
+        assert read_csv_columns(tmp_path / "sweep.csv")[1] == [[0.2, 0.2, math.inf]]
+
     def test_plot_kinds(self, tmp_path):
         cfg = write_config(tmp_path, FREE_CONFIG)
         main(["--out-dir", str(tmp_path), "free", cfg])
@@ -470,6 +481,9 @@ def test_io_failure_is_one_error_line(tmp_path, capsys, fault):
     assert wording in err
 
 
+IDENTITY_U = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
 class TestCLIEquiv:
     def test_hadamard_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TRACK_CONFIG)
@@ -483,6 +497,52 @@ class TestCLIEquiv:
         assert report["dephasing_class_after"]["member"]
         assert math.isclose(report["breakdown_time_before"], 25.0 / 3.0,
                             rel_tol=1e-12)
+
+    def test_near_dephasing_channel_is_one_case_everywhere(self, tmp_path, capsys):
+        # An xy coupling of 2e-11 splits the eigenvalues of m0 by 8e-11, within
+        # the class tolerance: track, fields and equiv all take the closed form.
+        matrix = [[[0.0, 0.0]] * 3 for _ in range(3)]
+        matrix[2][2] = [0.05, 0.0]
+        matrix[0][1] = matrix[1][0] = [2e-11, 0.0]
+        obj = dict(TRACK_CONFIG, channel={"type": "gks", "matrix": matrix}, samples=101)
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), "track", cfg]) == 0
+        _, _, comments = read_csv_columns(tmp_path / "trajectory.csv")
+        label = comments[0][1]
+        assert label == "# termination=breakdown:t_b=8.3333333333333357"
+        assert comments[1][1].startswith("# singularity=nontrivial-a")
+        assert main(["--out-dir", str(tmp_path), "fields",
+                     write_config(tmp_path, dict(obj, output="f.csv"), "f.json")]) == 0
+        capsys.readouterr()
+        assert main(["equiv", cfg, "--unitary", json.dumps(IDENTITY_U)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["breakdown_time_before"] == float(label.split("=")[-1])
+
+    def test_hadamard_drops_the_breakdown_time_of_an_x_axis_channel(self, tmp_path,
+                                                                    capsys):
+        # Tracking an x-axis dephasing channel breaks down at ln 2 / (2 gamma),
+        # not at v_z(0)^2 / (2 gamma c): there is no closed-form t_b to report.
+        h = 1.0 / math.sqrt(2.0)
+        unitary = json.dumps([[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]])
+        assert main(["equiv", write_config(tmp_path, TRACK_CONFIG),
+                     "--unitary", unitary]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "breakdown_time_before" in report
+        assert "breakdown_time_after" not in report
+
+    def test_large_rate_transforms(self, tmp_path, capsys):
+        # exp(-i 1.1 n.sigma / 2) with n = (1, 2, 3) / sqrt(14): at gamma = 1e4
+        # the two transform routes differ by rounding above 1e-12.
+        obj = dict(TRACK_CONFIG, channel={"type": "dephasing", "gamma": 1e4})
+        unitary = json.dumps(
+            [[[0.8525245220595057, -0.41908211380731497],
+              [-0.27938807587154335, -0.13969403793577165]],
+             [[0.2793880758715433, -0.13969403793577165],
+              [0.8525245220595057, 0.41908211380731497]]])
+        assert main(["equiv", write_config(tmp_path, obj), "--unitary", unitary]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dephasing_class_after"]["member"]
+        assert math.isclose(report["dephasing_class_after"]["gamma"], 1e4, rel_tol=1e-12)
 
     def test_invalid_unitary_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TRACK_CONFIG)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohtrack.bloch import (
     BlochChannel,
@@ -12,19 +14,23 @@ from cohtrack.bloch import (
     gks_to_channel,
     purity,
 )
-from cohtrack.dynamics import propagate_bloch
+from cohtrack.config import ScenarioConfig, complex_matrix_to_json
+from cohtrack.dynamics import Termination, propagate_bloch
 from cohtrack.equivalence import (
     HADAMARD,
     Rotation3,
     Unitary2,
+    _z_dephasing_rate,
     is_dephasing_class,
     su2_to_so3,
     transform_channel,
     transform_state,
     transport_waveform,
 )
-from cohtrack.errors import PastBreakdownError, ValidationError
-from cohtrack.tracking import breakdown_time, tracking_fields_dephasing
+from cohtrack.errors import ConfigError, DomainError, PastBreakdownError, ValidationError
+from cohtrack.scenarios import emit_fields, equivalence_report
+from cohtrack.tracking import breakdown_time, simulate_tracked, tracking_fields_dephasing
+from cohtrack.verify import _rot_z
 from cohtrack.waveform import ControlWaveform
 
 GAMMA = 0.1
@@ -208,3 +214,96 @@ class TestDephasingClassMembership:
         ok, _, gamma = is_dephasing_class(BlochChannel.dephasing(0.0))
         assert ok
         assert gamma == 0.0
+
+    def test_large_rate_transforms_and_stays_member(self):
+        # Entries of size 1e4 carry rounding residuals near 1e-11; the
+        # Hermiticity test and the two-route cross-check scale with them.
+        rng = np.random.default_rng(27)
+        for size in (5e3, 5e8):
+            a = GKSMatrix(np.diag([0.0, 0.0, size]).astype(complex))
+            for _ in range(50):
+                _, ch = gks_to_channel(transform_channel(a, random_su2(rng)))
+                ok, _, gamma = is_dephasing_class(ch)
+                assert ok
+                assert math.isclose(gamma, 2.0 * size, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("scale", [10.0, 1e4, 1e8])
+    def test_verdict_does_not_depend_on_the_rate_scale(self, scale):
+        # t -> t / scale, gamma -> scale gamma leaves the dynamics alone, so
+        # it leaves class membership alone (for rates above 1, where the
+        # tolerance stops being absolute).
+        def channel(split):
+            m0 = np.diag([-GAMMA, -GAMMA, 0.0])
+            m0[0, 1] = m0[1, 0] = split * GAMMA
+            return BlochChannel(scale * m0, np.zeros(3))
+
+        assert is_dephasing_class(channel(1e-12))[0]
+        assert not is_dephasing_class(channel(1e-8))[0]
+        assert _z_dephasing_rate(channel(1e-12)) is not None
+        assert _z_dephasing_rate(channel(1e-8)) is None
+
+    def test_non_finite_generator_is_not_member(self):
+        m0 = np.diag([-GAMMA, -GAMMA, 0.0])
+        m0[2, 2] = math.nan
+        ch = BlochChannel(m0, np.zeros(3))
+        assert not is_dephasing_class(ch)[0]
+        assert _z_dephasing_rate(ch) is None
+
+
+def _config_for(a: np.ndarray) -> ScenarioConfig:
+    return ScenarioConfig.from_dict({
+        "channel": {"type": "gks", "matrix": complex_matrix_to_json(a)},
+        "initial_state": {"vx": V0.vx, "vy": V0.vy, "vz": V0.vz},
+        "control": {"mode": "track", "omega0": OMEGA0},
+        "t_max": 1.0,
+        "samples": 11,
+    })
+
+
+class TestOneDephasingRule:
+    """Which channels `simulate_tracked`, `emit_fields` and `equiv` treat in closed form."""
+
+    @given(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-3, 1e4)),
+           st.floats(0.0, 2.0 * math.pi), st.booleans(), st.floats(-1.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_dephasing_about_z_runs_in_closed_form(self, gamma, theta, flip, eps):
+        # The z-axis stabilizer (rotations about z, the y-flip) maps the
+        # dephasing generator to itself up to rounding; an xy coupling up
+        # to 1e-11 max(1, gamma) is inside the class tolerance (and up to
+        # gamma, so the diagonal of m0 stays non-positive).
+        rot = _rot_z(theta).matrix
+        if flip:
+            rot = Y_FLIP.matrix @ rot
+        m0 = np.diag([-gamma, -gamma, 0.0])
+        m0[0, 1] = m0[1, 0] = eps * min(gamma, 1e-11 * max(1.0, gamma))
+        ch = BlochChannel(rot @ m0 @ rot.T, np.zeros(3))
+        rate = _z_dephasing_rate(ch)
+        assert rate is not None
+        assert abs(rate - gamma) <= 1e-14 * max(1.0, gamma)
+        assert is_dephasing_class(ch)[2] == rate
+        t_b = breakdown_time(V0, rate)
+        t_max = 1.5 * t_b if t_b < 1e3 else 10.0
+        traj = simulate_tracked(ch, V0, OMEGA0, t_max, n_samples=11)
+        want = Termination("breakdown", t_b) if t_b < t_max else Termination("horizon")
+        assert traj.termination == want
+
+    @given(st.floats(1e-2, math.pi / 2), st.floats(0.0, 2.0 * math.pi),
+           st.floats(1e-3, 1e4))
+    @settings(max_examples=30, deadline=None)
+    def test_dephasing_off_z_has_no_closed_form(self, tilt, azimuth, gamma):
+        n = np.array([math.sin(tilt) * math.cos(azimuth),
+                      math.sin(tilt) * math.sin(azimuth), math.cos(tilt)])
+        a = (0.5 * gamma * np.outer(n, n)).astype(complex)   # m0 = -gamma (I - n n^t)
+        cfg = _config_for(a)
+        ch = gks_to_channel(cfg.channel)[1]
+        ok, _, rate = is_dephasing_class(ch)
+        assert ok and math.isclose(rate, gamma, rel_tol=1e-9)
+        assert _z_dephasing_rate(ch) is None
+        report = equivalence_report(cfg, Unitary2(np.eye(2, dtype=complex)))
+        assert report["dephasing_class_before"]["member"]
+        assert "breakdown_time_before" not in report
+        assert "breakdown_time_after" not in report
+        with pytest.raises(ConfigError, match="dephases about z"):
+            emit_fields(cfg)
+        with pytest.raises(DomainError, match="clipping"):
+            simulate_tracked(ch, V0, OMEGA0, 1.0, omega_max=10.0)

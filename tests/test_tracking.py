@@ -1,6 +1,7 @@
 """Control synthesis, breakdown, clipping, singularities, and ramp schedules."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cohtrack.dynamics import (
     propagate_bloch,
     purity_rate,
 )
+from cohtrack.config import SweepSpec
 from cohtrack.errors import (
     DomainError,
     PastBreakdownError,
@@ -44,6 +46,8 @@ from cohtrack.tracking import (
     tracking_fields_general,
     vz_tracked,
 )
+from cohtrack.scenarios import sweep_breakdown
+from cohtrack.svgplot import read_csv_columns
 from cohtrack.waveform import ControlWaveform
 
 GAMMA = 0.1
@@ -84,6 +88,26 @@ class TestBreakdownTime:
         plain = tracked_waveform(v0, gamma, 0.0)
         assert ramp.t_end is None and plain.t_end is None
         assert np.array_equal(ramp(5.0), plain(5.0))
+
+    @given(st.integers(0, 1024), st.integers(0, 1024),
+           st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-3, 1e4)))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_cell_is_the_breakdown_time_of_its_state(self, i, j, gamma):
+        # v_x = i/1024 and v_z = j/1024 have exact squares, so the state
+        # (sqrt(c), 0, sqrt(p - c)) carries the cell's c and p - c exactly.
+        # i = 0 is c = 0 and j = 0 is c = p.
+        if i * i + j * j > 1024 * 1024:
+            return
+        c = (i / 1024) ** 2
+        p = c + (j / 1024) ** 2
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = SweepSpec.from_dict({
+                "gamma": gamma, "c": {"min": c, "max": c, "count": 1},
+                "p": {"min": p, "max": p, "count": 1}, "output": "sweep.csv"})
+            [[c_cell, p_cell, t_b]] = read_csv_columns(sweep_breakdown(spec, tmp))[1]
+        assert (c_cell, p_cell) == (c, p)
+        v0 = CoherenceVector(math.sqrt(c), 0.0, math.sqrt(p - c))
+        assert t_b == breakdown_time(v0, gamma)
 
 
 class TestTrackedSolution:
