@@ -151,10 +151,13 @@ class BlochChannel:
             raise ValidationError(f"m0 must be 3x3, got {m0.shape}")
         if k.shape != (3,):
             raise ValidationError(f"k must be a 3-vector, got {k.shape}")
+        if not (np.all(np.isfinite(m0)) and np.all(np.isfinite(k))):
+            raise ValidationError("m0 and k must be finite")
+        tol = HERMITICITY_TOL * _entry_scale(m0)
         sym = np.max(np.abs(m0 - m0.T))
-        if sym > HERMITICITY_TOL * _entry_scale(m0):
+        if sym > tol:
             raise ValidationError(f"m0 not symmetric: residual {sym:.3e}")
-        if np.any(np.diag(m0) > HERMITICITY_TOL):
+        if np.any(np.diag(m0) > tol):
             raise ValidationError("m0 diagonal must be non-positive")
         object.__setattr__(self, "m0", _freeze(m0))
         object.__setattr__(self, "k", _freeze(k))

@@ -165,13 +165,27 @@ def _general_denominators(v: np.ndarray) -> tuple[float, float]:
     return d1, d2
 
 
-def _isolated_zero_class(n1: float, n2: float, zero1: bool, zero2: bool) -> str:
+def _numerator_scale(ch: BlochChannel, omega0: float) -> float:
+    """Largest of |omega0| and the entries of |m0| and |k|: the numerators' scale.
+
+    N1 and N2 are linear in omega0, m0 and k, so under the rescaling
+    gamma -> lambda gamma, omega0 -> lambda omega0, t -> t / lambda, which
+    leaves the trajectory unchanged, they scale with this number.
+    """
+    return max(abs(float(omega0)), float(np.max(np.abs(ch.m0))),
+               float(np.max(np.abs(ch.k))))
+
+
+def _isolated_zero_class(n1: float, n2: float, zero1: bool, zero2: bool,
+                         scale: float) -> str:
     """Class of an isolated denominator zero, from the vanishing rows' numerators.
 
-    `nontrivial-a` when one of them exceeds EPS_NUMERATOR (no field solves that
-    row), else `nontrivial-b` (0/0, a limit may exist).
+    `nontrivial-a` when one of them exceeds EPS_NUMERATOR times the run's
+    `_numerator_scale` (no field solves that row), else `nontrivial-b` (0/0,
+    a limit may exist).
     """
-    if (zero1 and abs(n1) > EPS_NUMERATOR) or (zero2 and abs(n2) > EPS_NUMERATOR):
+    eps = EPS_NUMERATOR * scale
+    if (zero1 and abs(n1) > eps) or (zero2 and abs(n2) > eps):
         return "nontrivial-a"
     return "nontrivial-b"
 
@@ -190,8 +204,8 @@ def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
     n1, n2 = _general_numerators(ch, arr, omega0)
     zero1, zero2 = abs(d1) <= 1e-12, abs(d2) <= 1e-12
     if zero1 or zero2:
-        report = SingularityReport(_isolated_zero_class(n1, n2, zero1, zero2),
-                                   t=math.nan, d1=d1, d2=d2, n1=n1, n2=n2)
+        cls = _isolated_zero_class(n1, n2, zero1, zero2, _numerator_scale(ch, omega0))
+        report = SingularityReport(cls, t=math.nan, d1=d1, d2=d2, n1=n1, n2=n2)
         raise SingularPointError(
             f"vanishing field denominator (D1={d1:.3e}, D2={d2:.3e})", report
         )
@@ -348,7 +362,8 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityRepor
 
     A denominator is zero where |D| <= EPS_DENOMINATOR. `trivial` means one
     vanishes over >= TRIVIAL_RUN_LENGTH consecutive samples; an isolated zero
-    is `nontrivial-a` (numerator above EPS_NUMERATOR, no field solution) or
+    is `nontrivial-a` (numerator above EPS_NUMERATOR at the scale of omega0,
+    m0 and k, no field solution) or
     `nontrivial-b` (0/0, a limit may exist). A trajectory that
     terminated with breakdown contributes a virtual sample at t_b with
     v_z = 0.
@@ -372,7 +387,8 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityRepor
         d1, d2 = _general_denominators(vs[j])
         n1, n2 = _general_numerators(ch, vs[j], w0s[j])
         if cls is None:
-            cls = _isolated_zero_class(n1, n2, zero1[j], zero2[j])
+            cls = _isolated_zero_class(n1, n2, zero1[j], zero2[j],
+                                       _numerator_scale(ch, w0s[j]))
         return SingularityReport(cls, t=float(ts[j]), d1=d1, d2=d2, n1=n1, n2=n2,
                                  note=note)
 

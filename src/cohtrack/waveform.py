@@ -4,7 +4,9 @@ A waveform may be a constant triple, a uniformly sampled table with linear
 interpolation, a closed-form rule defined only up to a breakdown time, or a
 piecewise concatenation of segments. Waveforms evaluate to a (3,) float array
 and carry an optional end of domain `t_end` plus `breakpoints` at which the
-fields may be discontinuous (integrators split there).
+fields may be discontinuous (integrators split there). Piecewise-constant
+waveforms also carry their `segments`, from which `propagate_bloch` steps
+exactly.
 
 Calling a waveform checks the time against its domain and the shape of the
 fields. Integrators and field tables, which only evaluate inside
@@ -46,12 +48,25 @@ class ControlWaveform:
         End of the domain of definition (exclusive); None means unbounded.
     breakpoints : sequence of float
         Interior times where the fields may jump.
+
+    Attributes
+    ----------
+    segments : tuple or None
+        `(starts, triples)` of a waveform built by `piecewise_constant`,
+        `constant` or `zero`: the sorted segment start times and the field
+        triple held on each, looked up with `segment_index`. None for every
+        other waveform, whose fields are known only through `func`.
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):
         self._func = func
+        self._segments = None
         self.t_end = t_end
         self.breakpoints = tuple(sorted(breakpoints))
+
+    @property
+    def segments(self):
+        return self._segments
 
     def __call__(self, t: float) -> np.ndarray:
         if t < 0:
@@ -87,7 +102,7 @@ class ControlWaveform:
         w = (float(omega0), float(omega1), float(omega2))
         if not all(map(math.isfinite, w)):
             raise ValidationError(f"constant fields must be finite, got {w}")
-        return cls(lambda t: w)
+        return cls._held((0.0,), (w,))
 
     @classmethod
     def sampled(cls, t, omega) -> "ControlWaveform":
@@ -130,12 +145,18 @@ class ControlWaveform:
             )
         if np.any(np.diff(edges) <= 0):
             raise ValidationError("piecewise edges must be strictly increasing")
-        starts, triples = edges[:-1].tolist(), [tuple(row) for row in values.tolist()]
+        return cls._held(tuple(edges[:-1].tolist()),
+                         tuple(tuple(row) for row in values.tolist()))
 
+    @classmethod
+    def _held(cls, starts, triples) -> "ControlWaveform":
+        """Fields triples[i] held from starts[i] on, recorded as `segments`."""
         def step(s):
             return triples[segment_index(starts, s)]
 
-        return cls(step, breakpoints=edges[1:-1])
+        waveform = cls(step, breakpoints=starts[1:])
+        waveform._segments = (starts, triples)
+        return waveform
 
     @classmethod
     def closed_form(cls, func, t_end, breakpoints=()) -> "ControlWaveform":

@@ -228,6 +228,33 @@ class TestGKSValidation:
             GKSMatrix(a)
 
 
+class TestBlochChannelValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["m0", "k"])
+    def test_non_finite_generator_rejected(self, part, value):
+        # Before this check diag(-0.1, -0.1, NaN) was accepted, and
+        # propagate_bloch under a closed-form waveform never returned on it.
+        m0, k = np.diag([-0.1, -0.1, 0.0]), np.zeros(3)
+        if part == "m0":
+            m0[2, 2] = value
+        else:
+            k[0] = value
+        with pytest.raises(ValidationError, match="finite"):
+            BlochChannel(m0, k)
+
+    @pytest.mark.parametrize("m0_diag, accepted", [
+        ((-1e3, -1e3, 5e-10), True),    # 5e-13 of the channel's scale
+        ((-1e3, -1e3, 5e-9), False),    # 5e-12 of it
+        ((-0.1, -0.1, 5e-13), True),    # the scale is never below 1
+    ])
+    def test_positive_diagonal_judged_at_the_channel_scale(self, m0_diag, accepted):
+        if accepted:
+            BlochChannel(np.diag(m0_diag), np.zeros(3))
+        else:
+            with pytest.raises(ValidationError, match="non-positive"):
+                BlochChannel(np.diag(m0_diag), np.zeros(3))
+
+
 class TestChannelConversion:
     def test_dephasing_gks_to_bloch(self):
         # A rate gamma is the GKS matrix diag(0, 0, gamma/2), which maps to

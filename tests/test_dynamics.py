@@ -15,11 +15,14 @@ from cohtrack.bloch import (
     GKSMatrix,
     bloch_to_density,
     coherence,
+    gks_to_channel,
 )
 from cohtrack.dynamics import (
     CSV_HEADER,
     IntegratorConfig,
     Termination,
+    _bloch_rhs,
+    _integrate,
     _trajectory,
     free_dephasing_analytic,
     propagate_bloch,
@@ -28,8 +31,9 @@ from cohtrack.dynamics import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
+from cohtrack.equivalence import Rotation3, transport_waveform
 from cohtrack.errors import DomainError, ValidationError, WaveformDomainError
-from cohtrack.tracking import coherence_ramp_schedule
+from cohtrack.tracking import coherence_ramp_schedule, tracked_waveform
 from cohtrack.waveform import ControlWaveform
 
 V0 = CoherenceVector(0.39, 0.39, 1.0 / math.sqrt(2.0))
@@ -215,12 +219,121 @@ class TestPropagateBloch:
         assert [sol.success for sol in solved] == [False]
         assert traj.termination.label() == "invalid:t=1.1000000000000001"
         assert len(traj.t) == 11
-        clean = propagate_bloch(ch, ControlWaveform.constant(*fields), v0, 2.0,
+        # A hand-built waveform has no segments, so the clean run is RK45 too.
+        clean = propagate_bloch(ch, ControlWaveform(lambda t: fields), v0, 2.0,
                                 n_samples=21)
         assert clean.termination.kind == "horizon"
         assert np.array_equal(traj.t, clean.t[:11])
         assert np.array_equal(traj.v, clean.v[:11])
         assert np.array_equal(traj.omega, clean.omega[:11])
+
+
+def _random_channel(rng, unital=False) -> BlochChannel:
+    g = rng.normal(size=(3, 3)) + (0.0 if unital else 1j * rng.normal(size=(3, 3)))
+    return gks_to_channel(GKSMatrix((0.1 * g @ g.conj().T).astype(complex)))[1]
+
+
+def _rk45_reference(monkeypatch, ch, w, v0, t_max, n_samples):
+    """The same Bloch RHS through `_integrate`, with the real solver restored."""
+    grid = np.linspace(0.0, t_max, n_samples)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "solve_ivp", solve_ivp)
+        ys, n_ok = _integrate(_bloch_rhs(ch, w.unchecked()), v0.as_array(), grid,
+                              IntegratorConfig(), w.breakpoints)
+    assert n_ok == n_samples
+    return ys
+
+
+class TestExactSteps:
+    """Piecewise-constant waveforms take exact steps, never the solver."""
+
+    def test_matches_rk45_on_random_cases(self, no_solver, monkeypatch):
+        rng = np.random.default_rng(2)
+        for _ in range(25):
+            ch = _random_channel(rng)
+            n_seg, n_samples = int(rng.integers(1, 7)), int(rng.integers(2, 18))
+            t_max = float(rng.uniform(0.3, 4.0))
+            edges = np.sort(rng.uniform(-0.5, 4.5, n_seg + 1))
+            w = ControlWaveform.piecewise_constant(edges, rng.uniform(-3, 3, (n_seg, 3)))
+            v0 = CoherenceVector.from_array(0.9 * rng.uniform(-1, 1, 3) / math.sqrt(3))
+            traj = propagate_bloch(ch, w, v0, t_max, n_samples=n_samples)
+            ref = _rk45_reference(monkeypatch, ch, w, v0, t_max, n_samples)
+            assert traj.termination.kind == "horizon"
+            assert np.max(np.abs(traj.v - ref)) <= 1e-9
+            assert np.array_equal(traj.omega, [w(t) for t in traj.t])
+
+    @pytest.mark.parametrize("edges, t_max, n_samples", [
+        ([0.0, 0.5, 1.0], 1.0, 5),          # grid points on every edge
+        ([0.0, 1.0, 2.0, 3.0], 1.5, 7),     # t_max before the last segment start
+        ([0.0, 0.4, 0.9], 3.5, 8),          # t_max past the last edge
+        ([0.0, 0.3, 0.8], 2.0, 2),          # two samples, edges between them
+    ])
+    def test_edges_against_rk45_and_rotation(self, no_solver, monkeypatch, edges,
+                                             t_max, n_samples):
+        rng = np.random.default_rng(5)
+        ch = _random_channel(rng)
+        omega0 = rng.uniform(-3, 3, len(edges) - 1)
+        values = np.column_stack([omega0, rng.uniform(-3, 3, (len(edges) - 1, 2))])
+        w = ControlWaveform.piecewise_constant(edges, values)
+        traj = propagate_bloch(ch, w, V0, t_max, n_samples=n_samples)
+        ref = _rk45_reference(monkeypatch, ch, w, V0, t_max, n_samples)
+        assert np.max(np.abs(traj.v - ref)) <= 1e-9
+        # Without a channel, omega0 alone rotates v about z by its integral,
+        # the last segment holding past the last edge.
+        wz = ControlWaveform.piecewise_constant(edges, np.column_stack(
+            [omega0, np.zeros((len(omega0), 2))]))
+        rot = propagate_bloch(ZERO_CHANNEL, wz, V0, t_max, n_samples=n_samples)
+        ends = np.append(edges[1:-1], np.inf)
+        starts = np.array(edges[:-1])
+        for t, v in zip(rot.t, rot.v):
+            span = np.clip(np.minimum(t, ends) - starts, 0.0, None)
+            angle = float(omega0 @ span)
+            want = [V0.vx * math.cos(angle) - V0.vy * math.sin(angle),
+                    V0.vx * math.sin(angle) + V0.vy * math.cos(angle), V0.vz]
+            assert np.max(np.abs(v - want)) <= 1e-14
+
+    def test_constant_and_zero_waveforms(self, no_solver, monkeypatch):
+        ch = _random_channel(np.random.default_rng(8))
+        w = ControlWaveform.constant(1.5, -0.7, 2.0)
+        assert w.segments == ((0.0,), ((1.5, -0.7, 2.0),))
+        traj = propagate_bloch(ch, w, V0, 3.0, n_samples=13)
+        ref = _rk45_reference(monkeypatch, ch, w, V0, 3.0, 13)
+        assert np.max(np.abs(traj.v - ref)) <= 1e-9
+        free = propagate_bloch(BlochChannel.dephasing(0.1), ControlWaveform.zero(), V0,
+                               10.0, n_samples=101)
+        want = [free_dephasing_analytic(0.1, V0, float(t)).as_array() for t in free.t]
+        assert np.max(np.abs(free.v - want)) <= 1e-14
+
+    def test_unital_purity_never_rises(self, no_solver):
+        rng = np.random.default_rng(4)
+        for n_seg in range(1, 41):
+            ch = _random_channel(rng, unital=True)
+            w = ControlWaveform.piecewise_constant(np.linspace(0.0, 3.0, n_seg + 1),
+                                                   rng.uniform(-5, 5, (n_seg, 3)))
+            v0 = CoherenceVector.from_array(rng.uniform(-1, 1, 3) / math.sqrt(3))
+            traj = propagate_bloch(ch, w, v0, 3.0, n_samples=61)
+            assert np.max(np.diff(traj.p)) <= 1e-12
+
+    def test_other_waveforms_call_the_solver(self, monkeypatch):
+        runs = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            runs.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting_solve_ivp)
+        piecewise = ControlWaveform.piecewise_constant([0.0, 1.0, 2.0],
+                                                       [[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]])
+        rz = Rotation3(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        t = np.linspace(0.0, 2.0, 5)
+        for w in (transport_waveform(piecewise, rz),
+                  ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
+                  tracked_waveform(V0, 0.1, 4.0),
+                  ControlWaveform(lambda s: (1.0, 0.0, 0.0))):
+            assert w.segments is None
+            before = len(runs)
+            propagate_bloch(BlochChannel.dephasing(0.1), w, V0, 2.0, n_samples=5)
+            assert len(runs) > before
 
 
 class TestPropagateDensity:

@@ -334,6 +334,19 @@ class TestSingularityClassification:
         traj = simulate_tracked(ch, V0, OMEGA0, t_max=5.0)
         assert classify_singularity(traj, ch).classification == "none"
 
+    @pytest.mark.parametrize("lam", [1.0, 1e-3, 1e-6, 1e-9])
+    def test_class_is_unchanged_by_time_rescaling(self, lam):
+        # gamma -> lam gamma, omega0 -> lam omega0, t -> t / lam leaves the
+        # trajectory unchanged and scales N1, N2 by lam. With the absolute
+        # numerator tolerance 1e-8 the run was `nontrivial-b` at lam = 1e-9.
+        ch = BlochChannel.dephasing(lam * GAMMA)
+        traj = simulate_tracked(ch, V0, lam * OMEGA0, t_max=10.0 / lam)
+        assert classify_singularity(traj, ch).classification == "nontrivial-a"
+        v_b = np.array([V0.vx, V0.vy, 0.0])
+        with pytest.raises(SingularPointError) as exc:
+            tracking_fields_general(ch, v_b, lam * OMEGA0)
+        assert exc.value.report.classification == "nontrivial-a"
+
     def test_comment_line_format(self):
         traj = simulate_tracked(DEPHASING, V0, OMEGA0, t_max=10.0)
         line = classify_singularity(traj, DEPHASING).comment_line()
@@ -343,7 +356,11 @@ class TestSingularityClassification:
 
 
 def _classify_per_sample(traj, ch, eps_d=1e-10, eps_n=1e-8, run_length=10):
-    """Reference: the per-sample loop that `classify_singularity` replaced."""
+    """Reference: the per-sample loop that `classify_singularity` replaced.
+
+    A numerator counts as nonzero above eps_n times the largest of |omega0|
+    and the entries of |m0| and |k|.
+    """
     ts = list(traj.t)
     vs = [traj.v[i] for i in range(len(traj.t))]
     w0s = list(traj.omega[:, 0])
@@ -392,7 +409,9 @@ def _classify_per_sample(traj, ch, eps_d=1e-10, eps_n=1e-8, run_length=10):
             mags.append(abs(n1s[j]))
         if zero2:
             mags.append(abs(n2s[j]))
-        cls = "nontrivial-a" if max(mags) > eps_n else "nontrivial-b"
+        scale = max([abs(w0s[j])] + [abs(x) for x in ch.m0.ravel()]
+                    + [abs(x) for x in ch.k])
+        cls = "nontrivial-a" if max(mags) > eps_n * scale else "nontrivial-b"
         return SingularityReport(cls, t=float(ts[j]), d1=d1s[j], d2=d2s[j],
                                  n1=n1s[j], n2=n2s[j])
 
