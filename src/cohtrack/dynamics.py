@@ -5,7 +5,9 @@ coherence-vector ODE dv/dt = (m0 + M(t)) v + k, while `propagate_density`
 integrates the density-matrix master equation and converts the samples to
 Bloch coordinates. The density route serves as the oracle for the Bloch route.
 Under piecewise-constant fields the Bloch route steps exactly, one matrix
-exponential per step, and the density route stays on the adaptive integrator.
+exponential per step; under fields built to hold a known reference state it
+integrates the deviation from that state (Encke's method); the density route
+stays on the adaptive integrator.
 
 hbar = 1 throughout; rates and frequencies share inverse-time units.
 """
@@ -212,6 +214,28 @@ def _exact_steps(ch: BlochChannel, segments, v0: np.ndarray,
     return np.array(xs)[np.searchsorted(times, grid), 1:]
 
 
+def _deviation_steps(ch: BlochChannel, fields, reference, v0: np.ndarray,
+                     grid: np.ndarray, cfg: IntegratorConfig, breakpoints):
+    """RK45 samples of v = v*(t) + e on the grid, integrating the deviation e.
+
+    `reference(t)` gives the reference state v*(t) and its rate; e obeys
+    de/dt = f(t, v* + e) - dv*/dt with e(0) = v0 - v*(0), an exact change of
+    variable for any reference (Encke's method; Battin, AIAA 1999). When v*
+    is what the fields hold, e stays small and smooth, so the steps are no
+    longer limited by the rotation the fields drive. Returns (ys, n_ok) as
+    `_integrate` does.
+    """
+    rhs = _bloch_rhs(ch, fields)
+
+    def deviation_rhs(t, e):
+        state, rate = reference(t)
+        return rhs(t, state + e) - rate
+
+    es, n_ok = _integrate(deviation_rhs, v0 - reference(grid[0])[0], grid, cfg,
+                          breakpoints)
+    return es + np.array([reference(t)[0] for t in grid.tolist()]), n_ok
+
+
 def _output_grid(t_max: float, t_end: float | None,
                  n_samples: int) -> tuple[np.ndarray, Termination]:
     """Uniform output grid on [0, t_max] and the run's normal end.
@@ -272,10 +296,15 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
                     n_samples: int = 501) -> Trajectory:
     """Integrate dv/dt = (m0 + M(t)) v + k on a uniform output grid.
 
-    A waveform with `segments` (piecewise constant, constant or zero) is
-    propagated exactly, one matrix exponential per step between grid points
-    and segment starts; `cfg.rtol` then only sets the 1 + 10*rtol cap of the
-    Bloch ball below. Any other waveform goes through RK45 at `cfg`.
+    The waveform picks one of three routes:
+    - with `segments` (piecewise constant, constant or zero), exact steps,
+      one matrix exponential per step between grid points and segment
+      starts; `cfg.rtol` then only sets the 1 + 10*rtol cap of the Bloch
+      ball below;
+    - with a `reference` v*(t) (the unclipped tracking waveform), RK45 at
+      `cfg` on the deviation e = v - v*(t), and the samples are v* + e;
+      `atol` then bounds the deviation's local error;
+    - any other, RK45 at `cfg` on v.
 
     A waveform with a declared domain end below t_max yields a trajectory
     terminating with `breakdown` at that end. A state leaving the Bloch ball
@@ -287,6 +316,9 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     fields = w.unchecked()   # every time below lies in [0, grid[-1]]
     if w.segments is not None:
         ys, n_ok = _exact_steps(ch, w.segments, v0.as_array(), grid), len(grid)
+    elif w.reference is not None:
+        ys, n_ok = _deviation_steps(ch, fields, w.reference, v0.as_array(), grid, cfg,
+                                    w.breakpoints)
     else:
         ys, n_ok = _integrate(_bloch_rhs(ch, fields), v0.as_array(), grid, cfg,
                               w.breakpoints)

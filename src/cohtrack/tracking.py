@@ -229,9 +229,11 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
 
     Without a clip level the waveform ends at t_b; its fields refuse times
     from t_b (1 - BREAKDOWN_GUARD) on, where a run stops sampling, so they
-    stay finite in double precision. With omega_max, each in-plane field is
-    clamped independently once it would exceed the level, and the waveform
-    is defined for all times (the fields saturate).
+    stay finite in double precision. It records as its `reference` the state
+    the fields hold, v*(t) = (v_x(0), v_y(0), v_z(t)), and its rate. With
+    omega_max, each in-plane field is clamped independently once it would
+    exceed the level, the waveform is defined for all times (the fields
+    saturate), and the clamp times are breakpoints; it has no reference.
     """
     terms = _dephasing_terms(v0, gamma, omega0)
 
@@ -239,7 +241,14 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
         def fields(t):
             w1, w2 = terms.fields(t)
             return (omega0, w1, w2)
-        return ControlWaveform.closed_form(fields, t_end=terms.t_b)
+
+        def reference(t):
+            # v* = (v_x0, v_y0, v_z(t)) and dv*/dt = (0, 0, -gamma c / v_z(t)).
+            vz = terms.vz(t)
+            return (np.array([v0.vx, v0.vy, vz]),
+                    np.array([0.0, 0.0, -0.5 * terms.two_gamma_c / vz]))
+
+        return ControlWaveform._holding(fields, terms.t_b, reference)
 
     if omega_max <= 0:
         raise DomainError(f"omega_max must be positive, got {omega_max}")
@@ -255,25 +264,33 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                 max(-omega_max, min(omega_max, w1)),
                 max(-omega_max, min(omega_max, w2)))
 
-    breakpoints = () if math.isinf(terms.guard_end) else (terms.guard_end,)
-    return ControlWaveform(clipped, breakpoints=breakpoints)
+    # The fields have a kink where each is clamped and another at guard_end.
+    kinks = {t for t in _clip_times(terms, omega_max) if 0.0 < t < terms.guard_end}
+    if not math.isinf(terms.guard_end):
+        kinks.add(terms.guard_end)
+    return ControlWaveform(clipped, breakpoints=kinks)
+
+
+def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]:
+    """Times at which the tracked omega1 and omega2 each reach omega_max (inf: never)."""
+    times = []
+    for num in (terms.num1, terms.num2):
+        if num == 0.0:
+            times.append(math.inf)
+        elif terms.two_gamma_c == 0.0:
+            # Constant field num / |v_z(0)|: clips at t = 0 or never.
+            times.append(0.0 if abs(num) / math.sqrt(terms.vz0_sq) >= omega_max
+                         else math.inf)
+        else:
+            radicand = (num / omega_max) ** 2
+            times.append(max(0.0, (terms.vz0_sq - radicand) / terms.two_gamma_c))
+    return times[0], times[1]
 
 
 def clip_time(v0: CoherenceVector, gamma: float, omega0: float,
               omega_max: float) -> float:
     """First time at which either in-plane tracked field reaches omega_max."""
-    terms = _dephasing_terms(v0, gamma, omega0)
-    times = []
-    for num in (terms.num1, terms.num2):
-        if num == 0.0:
-            continue
-        if terms.two_gamma_c == 0.0:
-            # Constant field: clips at t = 0 or never.
-            times.append(0.0 if abs(num / v0.vz) >= omega_max else math.inf)
-            continue
-        radicand = (num / omega_max) ** 2
-        times.append(max(0.0, (terms.vz0_sq - radicand) / terms.two_gamma_c))
-    return min(times) if times else math.inf
+    return min(_clip_times(_dephasing_terms(v0, gamma, omega0), omega_max))
 
 
 def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,

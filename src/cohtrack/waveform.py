@@ -6,7 +6,8 @@ piecewise concatenation of segments. Waveforms evaluate to a (3,) float array
 and carry an optional end of domain `t_end` plus `breakpoints` at which the
 fields may be discontinuous (integrators split there). Piecewise-constant
 waveforms also carry their `segments`, from which `propagate_bloch` steps
-exactly.
+exactly, and the unclipped tracking waveform carries the `reference` state
+its fields hold, from which `propagate_bloch` integrates the deviation.
 
 Calling a waveform checks the time against its domain and the shape of the
 fields. Integrators and field tables, which only evaluate inside
@@ -56,17 +57,32 @@ class ControlWaveform:
         `constant` or `zero`: the sorted segment start times and the field
         triple held on each, looked up with `segment_index`. None for every
         other waveform, whose fields are known only through `func`.
+    reference : callable or None
+        `t -> (v*(t), dv*/dt(t))`, two (3,) arrays: the state an unclipped
+        `tracking.tracked_waveform` is built to hold and its rate, defined
+        where the fields are. None for every other waveform.
+
+    `propagate_bloch` takes three routes: a waveform with `segments` is
+    stepped exactly, one matrix exponential per step; one with a
+    `reference` goes through RK45 on the deviation v - v*(t) (Encke's
+    method), so `atol` bounds the deviation's local error; any other goes
+    through RK45 on v.
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):
         self._func = func
         self._segments = None
+        self._reference = None
         self.t_end = t_end
         self.breakpoints = tuple(sorted(breakpoints))
 
     @property
     def segments(self):
         return self._segments
+
+    @property
+    def reference(self):
+        return self._reference
 
     def __call__(self, t: float) -> np.ndarray:
         if t < 0:
@@ -145,6 +161,8 @@ class ControlWaveform:
             )
         if np.any(np.diff(edges) <= 0):
             raise ValidationError("piecewise edges must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("piecewise fields must be finite")
         return cls._held(tuple(edges[:-1].tolist()),
                          tuple(tuple(row) for row in values.tolist()))
 
@@ -166,3 +184,10 @@ class ControlWaveform:
         if t_end is not None and math.isinf(t_end):
             t_end = None
         return cls(func, t_end=t_end, breakpoints=breakpoints)
+
+    @classmethod
+    def _holding(cls, func, t_end, reference) -> "ControlWaveform":
+        """Closed-form fields built to hold the state `reference(t)[0]`, recorded as `reference`."""
+        waveform = cls.closed_form(func, t_end)
+        waveform._reference = reference
+        return waveform

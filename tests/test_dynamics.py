@@ -132,6 +132,13 @@ class TestWaveforms:
             assert got[0] == 1.0
             assert np.allclose(got[1:], first[1:] / 2**k, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_piecewise_constant_rejects_non_finite_fields(self, bad):
+        # The first segment is finite, so the check at t = 0 would not see it.
+        with pytest.raises(ValidationError, match="finite"):
+            ControlWaveform.piecewise_constant([0.0, 1.0, 2.0],
+                                               [[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+
     def test_constant_result_is_not_shared(self):
         w = ControlWaveform.constant(1.0, 2.0, 3.0)
         w(0.0)[0] = 9.0
@@ -334,6 +341,71 @@ class TestExactSteps:
             before = len(runs)
             propagate_bloch(BlochChannel.dephasing(0.1), w, V0, 2.0, n_samples=5)
             assert len(runs) > before
+
+
+def _direct(w: ControlWaveform) -> ControlWaveform:
+    """The same fields on a plain closed-form waveform: no reference, RK45 on v."""
+    return ControlWaveform.closed_form(w.unchecked(), w.t_end, w.breakpoints)
+
+
+class TestDeviationRoute:
+    """A waveform with a `reference` integrates v - v*(t) with RK45 (Encke's method)."""
+
+    GAMMA, OMEGA0 = 0.1, 4.0
+
+    def test_reference_solves_the_bloch_equation_under_its_fields(self):
+        w = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
+        assert _direct(w).reference is None
+        rhs = _bloch_rhs(BlochChannel.dephasing(self.GAMMA), w.unchecked())
+        h = 1e-6
+        for t in np.linspace(h, 0.99 * w.t_end, 7).tolist():
+            state, rate = w.reference(t)
+            assert np.array_equal(state[:2], [V0.vx, V0.vy])
+            assert np.max(np.abs(rhs(t, state) - rate)) <= 1e-13
+            fd = (w.reference(t + h)[0] - w.reference(t - h)[0]) / (2 * h)
+            assert np.max(np.abs(fd - rate)) <= 1e-7
+
+    def test_wrong_fields_still_show(self):
+        # omega1 of the wrong sign drives v far from the reference; the change
+        # of variable is exact, so the result is still that of the fields.
+        w = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
+        fields = w.unchecked()
+
+        def flipped(t):
+            w0, w1, w2 = fields(t)
+            return (w0, -w1, w2)
+
+        held = ControlWaveform._holding(flipped, w.t_end, w.reference)
+        plain = ControlWaveform.closed_form(flipped, w.t_end)
+        got = propagate_bloch(BlochChannel.dephasing(self.GAMMA), held, V0, 8.0,
+                              n_samples=161)
+        want = propagate_bloch(BlochChannel.dephasing(self.GAMMA), plain, V0, 8.0,
+                               n_samples=161)
+        ref = np.array([w.reference(t)[0] for t in got.t])
+        assert np.max(np.linalg.norm(got.v - ref, axis=1)) > 0.5
+        assert np.max(np.abs(got.v - want.v)) <= 1e-8
+
+    @pytest.mark.parametrize("channel", ["dephasing", "general"])
+    def test_other_start_and_channel_agree_with_the_direct_route(self, channel):
+        w = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
+        ch = (BlochChannel.dephasing(self.GAMMA) if channel == "dephasing"
+              else _random_channel(np.random.default_rng(11)))
+        v0 = CoherenceVector(0.2, -0.5, 0.6)
+        got = propagate_bloch(ch, w, v0, 10.0, n_samples=201)
+        want = propagate_bloch(ch, _direct(w), v0, 10.0, n_samples=201)
+        assert got.termination == want.termination
+        assert np.array_equal(got.t, want.t)
+        assert np.max(np.abs(got.v - want.v)) <= 1e-8
+
+    def test_clipped_and_other_waveforms_have_no_reference(self):
+        t = np.linspace(0.0, 2.0, 5)
+        for w in (tracked_waveform(V0, self.GAMMA, self.OMEGA0, omega_max=5.0),
+                  coherence_ramp_schedule(V0, self.GAMMA, [(0.0, coherence(V0))]),
+                  ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
+                  transport_waveform(tracked_waveform(V0, self.GAMMA, self.OMEGA0),
+                                     Rotation3(np.eye(3))),
+                  ControlWaveform.constant(1.0)):
+            assert w.reference is None
 
 
 class TestPropagateDensity:

@@ -16,6 +16,7 @@ from cohtrack.bloch import (
     gks_to_channel,
 )
 from cohtrack.dynamics import (
+    BREAKDOWN_GUARD,
     IntegratorConfig,
     Termination,
     Trajectory,
@@ -207,6 +208,12 @@ class TestSimulateTracked:
         assert traj.termination.kind == "breakdown"
         assert abs(traj.termination.time - T_B) <= 1e-9
 
+    def test_figure_run_stays_on_the_closed_form(self):
+        traj = simulate_tracked(DEPHASING, V0, OMEGA0, t_max=10.0, n_samples=2001)
+        assert traj.termination.kind == "breakdown"
+        want = [[V0.vx, V0.vy, vz_tracked(V0, GAMMA, t)] for t in traj.t.tolist()]
+        assert np.max(np.abs(traj.v - want)) <= 1e-10
+
     def test_horizon_before_breakdown(self):
         traj = simulate_tracked(DEPHASING, V0, OMEGA0, t_max=2.0)
         assert traj.termination.kind == "horizon"
@@ -285,6 +292,19 @@ class TestClipping:
         # The first field to reach the level defines the clip time.
         w1, w2 = tracking_fields_dephasing(V0, GAMMA, OMEGA0, t_clip)
         assert math.isclose(max(abs(w1), abs(w2)), omega_max, rel_tol=1e-9)
+
+    def test_each_clamp_kink_is_a_breakpoint(self):
+        omega_max = 5.0
+        w = tracked_waveform(V0, GAMMA, OMEGA0, omega_max)
+        first, second, guard_end = w.breakpoints
+        assert first == clip_time(V0, GAMMA, OMEGA0, omega_max)
+        # |omega1| = (omega0 - gamma) v_x / v_z and |omega2| = (omega0 + gamma) v_x / v_z
+        # reach the level one after the other, both before the guard end.
+        w1, _ = tracking_fields_dephasing(V0, GAMMA, OMEGA0, second)
+        assert math.isclose(abs(w1), omega_max, rel_tol=1e-12)
+        assert guard_end == T_B * (1.0 - BREAKDOWN_GUARD)
+        assert tracked_waveform(V0, GAMMA, OMEGA0, 1e6).breakpoints == (guard_end,)
+        assert tracked_waveform(V0, 0.0, OMEGA0, 1e6).breakpoints == ()
 
     def test_clip_never_reached_for_large_level(self):
         assert clip_time(V0, 0.0, 1.0, 1e6) == math.inf
