@@ -61,7 +61,6 @@ from .errors import (
     ConfigError,
     DomainError,
     PastBreakdownError,
-    ScheduleInfeasibleError,
     SingularPointError,
     ValidationError,
     WaveformDomainError,
@@ -79,7 +78,6 @@ from .tracking import (
     breakdown_time,
     classify_singularity,
     clip_time,
-    coherence_ramp_schedule,
     detect_breakdown,
     omega_magnitude_sq,
     simulate_tracked,

@@ -163,7 +163,7 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
             targets = np.append(targets, b)
         sol = solve_ivp(rhs, (a, b), y, method="RK45", t_eval=targets,
                         rtol=cfg.rtol, atol=cfg.atol)
-        reached = min(sol.y.shape[1], len(sel))
+        reached = min(len(sol.t), len(sel))
         if reached:
             ys[sel[:reached]] = sol.y[:, :reached].T
             n_ok = int(sel[reached - 1]) + 1

@@ -34,18 +34,5 @@ class WaveformDomainError(DomainError):
     """A waveform was evaluated outside its time domain."""
 
 
-class ScheduleInfeasibleError(DomainError):
-    """A coherence ramp segment outlives its own breakdown time."""
-
-    def __init__(self, segment_index, duration, t_b):
-        super().__init__(
-            f"segment {segment_index}: duration {duration} is not below its "
-            f"breakdown time {t_b}"
-        )
-        self.segment_index = segment_index
-        self.duration = duration
-        self.t_b = t_b
-
-
 class ConfigError(CohtrackError, ValueError):
     """A scenario or sweep configuration failed to parse or validate."""

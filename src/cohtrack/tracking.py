@@ -36,13 +36,8 @@ from .dynamics import (
     propagate_bloch,
 )
 from .equivalence import _z_dephasing_rate
-from .errors import (
-    DomainError,
-    PastBreakdownError,
-    ScheduleInfeasibleError,
-    SingularPointError,
-)
-from .waveform import ControlWaveform, segment_index
+from .errors import DomainError, PastBreakdownError, SingularPointError
+from .waveform import ControlWaveform
 
 # Objective matrices: S1 = v^t O1 v = v_x^2, S2 = v^t O2 v = v_y^2.
 # They commute with their paired generator: [O1, L1] = [O2, L2] = 0.
@@ -114,9 +109,7 @@ class _DephasingTerms:
         return math.sqrt(self.radicand(t))
 
     def fields(self, t: float) -> tuple[float, float]:
-        return self.fields_over(self.denominator(t))
-
-    def fields_over(self, denom: float) -> tuple[float, float]:
+        denom = self.denominator(t)
         return self.num1 / denom, self.num2 / denom
 
 
@@ -425,60 +418,3 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityRepor
         return report(None, int(hits[0]))
     return SingularityReport("none")
 
-
-def coherence_ramp_schedule(v0: CoherenceVector, gamma: float, schedule,
-                            omega0: float = 0.0) -> ControlWaveform:
-    """Piecewise tracking waveform that steps the coherence target downward.
-
-    `schedule` is a sequence of (t_i, c_i): at time t_i the target coherence
-    becomes c_i. The first entry must be (0, coherence(v0)); targets must be
-    strictly decreasing. At each boundary the in-plane targets are re-aimed
-    radially (scaled by sqrt(c_new / c_old)); v_z carries over continuously
-    via the closed-form tracked solution. Every segment must end before its
-    own breakdown time, so the resulting fields are finite on the whole
-    schedule.
-    """
-    entries = [(float(t), float(c)) for t, c in schedule]
-    if not entries:
-        raise DomainError("schedule must contain at least one segment")
-    if entries[0][0] != 0.0:
-        raise DomainError(f"first segment must start at t=0, got {entries[0][0]}")
-    c0 = coherence(v0)
-    if abs(entries[0][1] - c0) > 1e-12:
-        raise DomainError(
-            f"first target {entries[0][1]} must equal coherence(v0) = {c0}"
-        )
-    for (ta, ca), (tb, cb) in zip(entries, entries[1:]):
-        if tb <= ta:
-            raise DomainError("segment start times must be strictly increasing")
-        if cb >= ca:
-            raise DomainError("coherence targets must be strictly decreasing")
-    if any(c < 0 for _, c in entries):
-        raise DomainError("coherence targets must be non-negative")
-
-    segments = []   # (t_start, terms of the re-aimed state at t_start)
-    v = v0
-    for i, (t_i, c_i) in enumerate(entries):
-        if i > 0:
-            r = math.sqrt(c_i / entries[i - 1][1])
-            v = CoherenceVector(v.vx * r, v.vy * r, terms.vz(duration))
-        terms = _dephasing_terms(v, gamma, omega0)
-        segments.append((t_i, terms))
-        if i + 1 < len(entries):
-            duration = entries[i + 1][0] - t_i
-            if duration >= terms.t_b:
-                raise ScheduleInfeasibleError(i, duration, terms.t_b)
-
-    starts = [t_i for t_i, _ in segments]
-
-    def fields(t):
-        t_i, terms = segments[segment_index(starts, t)]
-        # Every segment runs up to its own t_b, the last one's being the
-        # waveform's t_end; a run stops sampling short of it.
-        radicand = terms.radicand(t - t_i)
-        if radicand <= 0:
-            raise PastBreakdownError(t, t_i + terms.t_b)
-        return (omega0, *terms.fields_over(math.sqrt(radicand)))
-
-    return ControlWaveform.closed_form(fields, t_end=starts[-1] + terms.t_b,
-                                       breakpoints=starts[1:])

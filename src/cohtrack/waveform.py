@@ -124,13 +124,16 @@ class ControlWaveform:
     def sampled(cls, t, omega) -> "ControlWaveform":
         """Uniformly sampled fields with linear interpolation.
 
-        `t` is a strictly increasing uniform grid starting at 0; `omega` has
-        shape (len(t), 3). Evaluation past the last sample holds the end value.
+        `t` is a strictly increasing uniform grid of finite times starting at
+        0; `omega` has shape (len(t), 3) and finite entries. Evaluation past
+        the last sample holds the end value.
         """
         t = np.asarray(t, dtype=float)
         omega = np.asarray(omega, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValidationError("sampled waveform needs at least two time points")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("sampled waveform times must be finite")
         if t[0] != 0:
             raise ValidationError(f"sampled waveform time grid must start at 0, got {t[0]}")
         dt = np.diff(t)
@@ -152,9 +155,16 @@ class ControlWaveform:
 
     @classmethod
     def piecewise_constant(cls, edges, values) -> "ControlWaveform":
-        """Constant fields on [edges[i], edges[i+1]); values has shape (n, 3)."""
+        """Constant fields on [edges[i], edges[i+1]); values has shape (n, 3), n >= 1.
+
+        Edges and fields must be finite, and edges strictly increasing.
+        """
         edges = np.asarray(edges, dtype=float)
         values = np.asarray(values, dtype=float)
+        if len(edges) < 2:
+            raise ValidationError("piecewise waveform needs at least one segment")
+        if not np.all(np.isfinite(edges)):
+            raise ValidationError("piecewise edges must be finite")
         if values.shape != (len(edges) - 1, 3):
             raise ValidationError(
                 f"expected {len(edges) - 1} field triples, got shape {values.shape}"

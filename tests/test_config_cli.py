@@ -252,7 +252,9 @@ class TestCLITrajectories:
         "t,omega0,omega1,omega2\n1,1,2,3\n2,1,2,3\n",
         "t,omega0,omega1,omega2\n0,1,,3\n1,1,2,3\n",
         "t,w0,w1,w2\n0,1,2,3\n1,1,2,3\n",
-    ], ids=["header-only", "one-row", "late-start", "empty-cell", "wrong-header"])
+        "t,omega0,omega1,omega2\n0,1,2,3\nnan,1,2,3\n2,1,2,3\n",
+    ], ids=["header-only", "one-row", "late-start", "empty-cell", "wrong-header",
+            "nan-time"])
     def test_bad_waveform_table_is_one_error_line(self, tmp_path, capsys, text):
         table = tmp_path / "fields.csv"
         table.write_text(text, encoding="utf-8")

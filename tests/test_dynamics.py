@@ -1,6 +1,7 @@
 """Propagation in both pictures, waveforms, and trajectory serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from cohtrack.bloch import (
     CoherenceVector,
     GKSMatrix,
     bloch_to_density,
-    coherence,
     gks_to_channel,
 )
 from cohtrack.dynamics import (
@@ -33,7 +33,7 @@ from cohtrack.dynamics import (
 )
 from cohtrack.equivalence import Rotation3, transport_waveform
 from cohtrack.errors import DomainError, ValidationError, WaveformDomainError
-from cohtrack.tracking import coherence_ramp_schedule, tracked_waveform
+from cohtrack.tracking import tracked_waveform
 from cohtrack.waveform import ControlWaveform
 
 V0 = CoherenceVector(0.39, 0.39, 1.0 / math.sqrt(2.0))
@@ -114,30 +114,29 @@ class TestWaveforms:
             if t >= 0:
                 assert np.array_equal(w(t), values[i])
 
-        # A coherence ramp starting a segment at 0 and at every |edge|. Without
-        # dephasing each segment's fields are constant, the first segment's
-        # scaled by 2^-k on segment k (the target coherence drops fourfold).
-        starts = np.union1d([0.0], np.abs(edges))
-        v0 = CoherenceVector(0.3, 0.4, 0.5)
-        ramp = coherence_ramp_schedule(v0, 0.0, [(s, coherence(v0) / 4**k)
-                                                 for k, s in enumerate(starts)],
-                                       omega0=1.0).unchecked()
-        first = np.array(ramp(0.0))
-        on_edge = data.draw(st.sampled_from(starts.tolist()))
-        inside = data.draw(st.floats(0.0, starts[-1]))
-        for t in [on_edge, inside, starts[-1], starts[-1] + 1.0, -1.0, 0.0]:
-            k = int(np.clip(np.searchsorted(starts, t, side="right") - 1,
-                            0, len(starts) - 1))
-            got = np.array(ramp(t))
-            assert got[0] == 1.0
-            assert np.allclose(got[1:], first[1:] / 2**k, rtol=1e-12, atol=0.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_piecewise_constant_rejects_non_finite_fields(self, bad):
         # The first segment is finite, so the check at t = 0 would not see it.
         with pytest.raises(ValidationError, match="finite"):
             ControlWaveform.piecewise_constant([0.0, 1.0, 2.0],
                                                [[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("edges", [[0.0, math.nan, 2.0], [0.0, 1.0, math.inf]])
+    def test_piecewise_constant_rejects_non_finite_edges(self, edges):
+        # NaN compares false, so the increasing-edges test alone lets a NaN
+        # edge through, and every t >= 0 would fall into the second segment.
+        with pytest.raises(ValidationError, match="edges must be finite"):
+            ControlWaveform.piecewise_constant(edges, [[1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+
+    def test_piecewise_constant_needs_a_segment(self):
+        # With no triple, the first call would have nothing to look up.
+        with pytest.raises(ValidationError, match="at least one segment"):
+            ControlWaveform.piecewise_constant([0.0], np.zeros((0, 3)))
+
+    def test_sampled_rejects_non_finite_times(self):
+        # NaN compares false, so it passes the increasing and uniform grid tests.
+        with pytest.raises(ValidationError, match="times must be finite"):
+            ControlWaveform.sampled([0.0, math.nan, 2.0], np.zeros((3, 3)))
 
     def test_constant_result_is_not_shared(self):
         w = ControlWaveform.constant(1.0, 2.0, 3.0)
@@ -209,9 +208,11 @@ class TestPropagateBloch:
                             n_samples=n_samples)
 
     def test_solver_failure_keeps_the_samples_before_it(self, monkeypatch):
-        # Fields that turn NaN at t = 1.05 make RK45 shrink its step below
-        # the float spacing and stop; the run ends `invalid` at the first
-        # grid point it did not reach, with the samples of a clean run.
+        # Fields that turn NaN make RK45 shrink its step below the float
+        # spacing and stop; the run ends `invalid` at the first grid point it
+        # did not reach, with the samples of a clean run, in both pictures.
+        # With NaN right after t = 0 the solver reaches no grid point and the
+        # run keeps only its first sample.
         solved = []
 
         def recording_solve_ivp(*args, **kwargs):
@@ -220,19 +221,40 @@ class TestPropagateBloch:
 
         monkeypatch.setattr(dynamics, "solve_ivp", recording_solve_ivp)
         ch, v0 = BlochChannel.dephasing(0.1), CoherenceVector(0.3, 0.2, 0.5)
+        a = GKSMatrix(np.diag([0.0, 0.0, 0.05]).astype(complex))   # the same channel
+
+        def bloch(w, n_samples):
+            return propagate_bloch(ch, w, v0, 2.0, n_samples=n_samples)
+
+        def density(w, n_samples):
+            # scipy's error norm divides by the NaN scale of a complex state.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "invalid value encountered in divide",
+                                        RuntimeWarning)
+                return propagate_density(a, w, bloch_to_density(v0), 2.0,
+                                         n_samples=n_samples)
+
         fields = (1.0, 0.5, -0.3)
-        w = ControlWaveform(lambda t: fields if t < 1.05 else (math.nan,) * 3)
-        traj = propagate_bloch(ch, w, v0, 2.0, n_samples=21)
-        assert [sol.success for sol in solved] == [False]
-        assert traj.termination.label() == "invalid:t=1.1000000000000001"
-        assert len(traj.t) == 11
-        # A hand-built waveform has no segments, so the clean run is RK45 too.
-        clean = propagate_bloch(ch, ControlWaveform(lambda t: fields), v0, 2.0,
-                                n_samples=21)
-        assert clean.termination.kind == "horizon"
-        assert np.array_equal(traj.t, clean.t[:11])
-        assert np.array_equal(traj.v, clean.v[:11])
-        assert np.array_equal(traj.omega, clean.omega[:11])
+        cases = [
+            (lambda t: fields if t < 1.05 else (math.nan,) * 3, fields, 21,
+             "invalid:t=1.1000000000000001", 11),
+            (lambda t: (0.0, 0.0, 0.0) if t == 0 else (math.nan, 0.0, 0.0),
+             (0.0, 0.0, 0.0), 5, "invalid:t=0.5", 1),
+        ]
+        for run in (bloch, density):
+            for func, clean_fields, n_samples, label, kept in cases:
+                solved.clear()
+                traj = run(ControlWaveform(func), n_samples)
+                assert [sol.success for sol in solved] == [False]
+                assert traj.termination.label() == label
+                assert len(traj.t) == kept
+                # A hand-built waveform has no segments, so the clean run is
+                # RK45 too.
+                clean = run(ControlWaveform(lambda t: clean_fields), n_samples)
+                assert clean.termination.kind == "horizon"
+                assert np.array_equal(traj.t, clean.t[:kept])
+                assert np.array_equal(traj.v, clean.v[:kept])
+                assert np.array_equal(traj.omega, clean.omega[:kept])
 
 
 def _random_channel(rng, unital=False) -> BlochChannel:
@@ -400,7 +422,6 @@ class TestDeviationRoute:
     def test_clipped_and_other_waveforms_have_no_reference(self):
         t = np.linspace(0.0, 2.0, 5)
         for w in (tracked_waveform(V0, self.GAMMA, self.OMEGA0, omega_max=5.0),
-                  coherence_ramp_schedule(V0, self.GAMMA, [(0.0, coherence(V0))]),
                   ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
                   transport_waveform(tracked_waveform(V0, self.GAMMA, self.OMEGA0),
                                      Rotation3(np.eye(3))),

@@ -16,11 +16,11 @@ PUBLIC_NAMES = [
     "GKSMatrix", "GKSValidationReport", "HADAMARD", "IDENTITY2",
     "IntegratorConfig", "LAMBDAS", "LAMBDA_0", "LAMBDA_1", "LAMBDA_2", "PAULIS",
     "PastBreakdownError", "Rotation3", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
-    "ScenarioConfig", "ScheduleInfeasibleError", "SingularPointError",
+    "ScenarioConfig", "SingularPointError",
     "SingularityReport", "SweepSpec", "Termination", "Trajectory",
     "Unitary2", "ValidationError", "WaveformDomainError", "bloch_to_density",
     "breakdown_time", "classify_singularity", "clip_time", "coherence",
-    "coherence_ramp_schedule", "control_matrix",
+    "control_matrix",
     "density_to_bloch", "detect_breakdown", "emit_fields", "emit_plot",
     "equivalence_report", "free_dephasing_analytic", "gks_to_channel",
     "is_dephasing_class", "load_fixed_waveform",

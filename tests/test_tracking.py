@@ -1,4 +1,4 @@
-"""Control synthesis, breakdown, clipping, singularities, and ramp schedules."""
+"""Control synthesis, breakdown, clipping, and singularities."""
 
 import math
 import tempfile
@@ -27,7 +27,6 @@ from cohtrack.config import SweepSpec
 from cohtrack.errors import (
     DomainError,
     PastBreakdownError,
-    ScheduleInfeasibleError,
     SingularPointError,
     ValidationError,
 )
@@ -38,7 +37,6 @@ from cohtrack.tracking import (
     breakdown_time,
     classify_singularity,
     clip_time,
-    coherence_ramp_schedule,
     detect_breakdown,
     omega_magnitude_sq,
     simulate_tracked,
@@ -85,10 +83,9 @@ class TestBreakdownTime:
         gamma = 2.2250738585072014e-308
         assert 2.0 * gamma * coherence(v0) == 0.0
         assert breakdown_time(v0, gamma) == math.inf
-        ramp = coherence_ramp_schedule(v0, gamma, [(0.0, coherence(v0))])
-        plain = tracked_waveform(v0, gamma, 0.0)
-        assert ramp.t_end is None and plain.t_end is None
-        assert np.array_equal(ramp(5.0), plain(5.0))
+        w = tracked_waveform(v0, gamma, 0.0)
+        assert w.t_end is None
+        assert np.all(np.isfinite(w(5.0)))
 
     @given(st.integers(0, 1024), st.integers(0, 1024),
            st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-3, 1e4)))
@@ -129,6 +126,17 @@ class TestTrackedSolution:
         eq = CoherenceVector(0.5, 0.5, 0.0)
         with pytest.raises(DomainError, match="no control is possible"):
             tracking_fields_dephasing(eq, GAMMA, OMEGA0, 0.0)
+
+    def test_origin_state_rejected_when_built(self):
+        # c = 0 gives t_b = inf; v_z(0) = 0 still leaves nothing to control.
+        with pytest.raises(DomainError, match="no control is possible"):
+            tracked_waveform(CoherenceVector(0.0, 0.0, 0.0), GAMMA, OMEGA0)
+
+    @pytest.mark.parametrize("omega_max", [None, 5.0], ids=["unclipped", "clipped"])
+    def test_negative_rate_rejected_when_built(self, omega_max):
+        with pytest.raises(DomainError, match="gamma must be >= 0") as exc:
+            tracked_waveform(V0, -0.1, OMEGA0, omega_max)
+        assert type(exc.value) is DomainError
 
 
 class TestFieldSynthesis:
@@ -502,22 +510,11 @@ def test_isolated_zero_classified_alike_by_formula_and_classifier():
 class TestBreakdownLabel:
     """A closed-form run ends `breakdown` at the true t_b, not where it stops sampling."""
 
-    def test_tracked_and_ramp_runs_report_breakdown_time(self):
+    def test_tracked_run_reports_breakdown_time(self):
         label = Termination("breakdown", breakdown_time(V0, GAMMA)).label()
-        for w in (tracked_waveform(V0, GAMMA, OMEGA0),
-                  coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3)], omega0=OMEGA0)):
-            traj = propagate_bloch(DEPHASING, w, V0, 10.0, n_samples=201)
-            assert traj.termination.label() == label
-
-    def test_two_segment_ramp_reports_last_segment_breakdown(self):
-        t1, c1 = 5.0, 0.1
-        r = math.sqrt(c1 / 0.3)
-        v1 = CoherenceVector(V0.vx * r, V0.vy * r, vz_tracked(V0, GAMMA, t1))
-        t_end = t1 + breakdown_time(v1, GAMMA)
-        w = coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3), (t1, c1)], omega0=OMEGA0)
-        traj = propagate_bloch(DEPHASING, w, V0, 2.0 * t_end, n_samples=201)
-        assert traj.termination.label() == Termination("breakdown", t_end).label()
-        assert traj.t[-1] < t_end * (1 - 1e-6)
+        traj = propagate_bloch(DEPHASING, tracked_waveform(V0, GAMMA, OMEGA0), V0, 10.0,
+                               n_samples=201)
+        assert traj.termination.label() == label
 
     @given(st.floats(0.05, 0.9), st.booleans(), st.floats(-0.6, 0.6),
            st.floats(-0.6, 0.6), st.floats(0.1, 1.0), st.floats(-4.0, 4.0))
@@ -528,73 +525,7 @@ class TestBreakdownLabel:
         v0 = CoherenceVector(vx, vy, vz if up else -vz)
         t_b = breakdown_time(v0, gamma)
         ch = BlochChannel.dephasing(gamma)
-        ramp = coherence_ramp_schedule(v0, gamma, [(0.0, coherence(v0))], omega0=omega0)
-        for w in (tracked_waveform(v0, gamma, omega0), ramp):
-            traj = propagate_bloch(ch, w, v0, 1.5 * t_b, n_samples=16)
-            assert traj.termination == Termination("breakdown", t_b)
-            assert traj.t[-1] < t_b * (1 - 1e-6)
-
-
-class TestRampSchedule:
-    @given(st.floats(0.05, 0.9), st.booleans(), st.floats(-0.6, 0.6),
-           st.floats(-0.6, 0.6), st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-           st.floats(-4.0, 4.0))
-    @settings(max_examples=100)
-    def test_single_segment_matches_plain_tracking(self, vz, up, vx, vy, gamma, omega0):
-        if vx**2 + vy**2 + vz**2 > 1.0:
-            return
-        v0 = CoherenceVector(vx, vy, vz if up else -vz)
-        ramp = coherence_ramp_schedule(v0, gamma, [(0.0, coherence(v0))], omega0=omega0)
-        plain = tracked_waveform(v0, gamma, omega0)
-        assert ramp.t_end == plain.t_end
-        horizon = 10.0 if plain.t_end is None else plain.t_end
-        for frac in (0.0, 0.25, 0.5, 0.9, 0.999):
-            t = frac * horizon
-            assert np.array_equal(ramp(t), plain(t))
-
-    def test_non_final_segment_runs_inside_its_guard_window(self):
-        # The first segment ends past t_b (1 - guard) but before t_b.
-        t_b = breakdown_time(V0, GAMMA)
-        w = coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3), (t_b * (1 - 1e-7), 0.1)])
-        assert np.all(np.isfinite(w(t_b * (1 - 5e-7))))
-
-    def test_origin_state_rejected_when_built(self):
-        with pytest.raises(DomainError, match="no control is possible"):
-            coherence_ramp_schedule(CoherenceVector(0.0, 0.0, 0.0), 0.1, [(0.0, 0.0)])
-
-    @pytest.mark.parametrize("schedule", [[(0.0, 0.3)], [(0.0, 0.3), (2.0, 0.2)]])
-    def test_negative_rate_rejected_when_built(self, schedule):
-        with pytest.raises(DomainError, match="gamma must be >= 0") as exc:
-            coherence_ramp_schedule(V0, -0.1, schedule)
-        assert type(exc.value) is DomainError
-
-    def test_stepping_target_down_reduces_peak_fields(self):
-        # Re-aiming to a lower coherence at 0.8 t_b keeps the fields finite
-        # and below the single-objective peak over the same horizon.
-        horizon = 0.95 * T_B
-        stepped = coherence_ramp_schedule(V0, GAMMA,
-                                          [(0.0, 0.3), (0.8 * T_B, 0.15)])
-        single = coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3)])
-        grid = np.linspace(0.0, horizon, 400)
-        peak_stepped = max(np.max(np.abs(stepped(float(t)))) for t in grid)
-        peak_single = max(np.max(np.abs(single(float(t)))) for t in grid)
-        assert math.isfinite(peak_stepped)
-        assert peak_stepped < peak_single
-
-    def test_stepping_down_extends_lifetime(self):
-        schedule = [(0.0, 0.3), (5.0, 0.1)]
-        w = coherence_ramp_schedule(V0, GAMMA, schedule)
-        assert w.t_end > breakdown_time(V0, GAMMA)
-
-    def test_infeasible_segment_raises(self):
-        with pytest.raises(ScheduleInfeasibleError) as exc:
-            coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3), (9.0, 0.2)])
-        assert exc.value.segment_index == 0
-
-    def test_first_entry_must_match_initial_coherence(self):
-        with pytest.raises(DomainError):
-            coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.25)])
-
-    def test_targets_must_decrease(self):
-        with pytest.raises(DomainError):
-            coherence_ramp_schedule(V0, GAMMA, [(0.0, 0.3), (2.0, 0.35)])
+        traj = propagate_bloch(ch, tracked_waveform(v0, gamma, omega0), v0, 1.5 * t_b,
+                               n_samples=16)
+        assert traj.termination == Termination("breakdown", t_b)
+        assert traj.t[-1] < t_b * (1 - 1e-6)
