@@ -24,14 +24,12 @@ from .bloch import (
     CoherenceVector,
     DensityMatrix,
     GKSMatrix,
-    GKSValidationReport,
     bloch_to_density,
     coherence,
     control_matrix,
     density_to_bloch,
     gks_to_channel,
     purity,
-    validate_gks,
 )
 from .config import ScenarioConfig, SweepSpec
 from .dynamics import (

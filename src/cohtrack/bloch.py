@@ -111,9 +111,16 @@ class GKSMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        report = validate_gks(m)
-        if not report.valid:
-            raise ValidationError(report.message)
+        if m.shape != (3, 3):
+            raise ValidationError(f"GKS matrix must be 3x3, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("GKS matrix has non-finite entries")
+        herm = float(np.max(np.abs(m - m.conj().T)))
+        if herm > HERMITICITY_TOL * _entry_scale(m):
+            raise ValidationError(f"GKS matrix not Hermitian: residual {herm:.3e}")
+        min_eig = float(np.linalg.eigvalsh(m).min())
+        if min_eig < -PSD_SLACK * max(1.0, float(np.linalg.norm(m))):
+            raise ValidationError(f"GKS matrix not PSD: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 
 
@@ -182,39 +189,6 @@ class BlochChannel:
         if gamma < 0:
             raise DomainError(f"dephasing rate must be >= 0, got {gamma}")
         return cls(np.diag([-gamma, -gamma, 0.0]), np.zeros(3))
-
-
-@dataclass(frozen=True)
-class GKSValidationReport:
-    """Outcome of validate_gks with the measured residuals."""
-
-    valid: bool
-    hermiticity_residual: float
-    min_eigenvalue: float
-    message: str
-
-
-def validate_gks(a) -> GKSValidationReport:
-    """Check that a GKS matrix or raw array is finite, Hermitian and PSD at its scale."""
-    if isinstance(a, GKSMatrix):
-        a = a.matrix
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (3, 3):
-        return GKSValidationReport(False, math.inf, -math.inf,
-                                   f"GKS matrix must be 3x3, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        return GKSValidationReport(False, math.nan, math.nan,
-                                   "GKS matrix has non-finite entries")
-    herm = float(np.max(np.abs(a - a.conj().T)))
-    if herm > HERMITICITY_TOL * _entry_scale(a):
-        return GKSValidationReport(False, herm, -math.inf,
-                                   f"GKS matrix not Hermitian: residual {herm:.3e}")
-    min_eig = float(np.linalg.eigvalsh(a).min())
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if min_eig < -PSD_SLACK * scale:
-        return GKSValidationReport(False, herm, min_eig,
-                                   f"GKS matrix not PSD: min eigenvalue {min_eig:.3e}")
-    return GKSValidationReport(True, herm, min_eig, "valid")
 
 
 def density_to_bloch(rho: DensityMatrix) -> CoherenceVector:

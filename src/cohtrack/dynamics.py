@@ -363,7 +363,10 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
         return gen @ y
 
     y0 = rho0.matrix.ravel().astype(complex)
-    ys, n_ok = _integrate(rhs, y0, grid, cfg, w.breakpoints)
+    # scipy's error norm divides by the NaN scale of a complex state once the
+    # fields turn NaN; the run then ends `invalid` as the Bloch route does.
+    with np.errstate(invalid="ignore"):
+        ys, n_ok = _integrate(rhs, y0, grid, cfg, w.breakpoints)
     vs = np.full((len(grid), 3), np.nan)
     for i in range(n_ok):
         rho = ys[i].reshape(2, 2)

@@ -169,20 +169,6 @@ def _numerator_scale(ch: BlochChannel, omega0: float) -> float:
                float(np.max(np.abs(ch.k))))
 
 
-def _isolated_zero_class(n1: float, n2: float, zero1: bool, zero2: bool,
-                         scale: float) -> str:
-    """Class of an isolated denominator zero, from the vanishing rows' numerators.
-
-    `nontrivial-a` when one of them exceeds EPS_NUMERATOR times the run's
-    `_numerator_scale` (no field solves that row), else `nontrivial-b` (0/0,
-    a limit may exist).
-    """
-    eps = EPS_NUMERATOR * scale
-    if (zero1 and abs(n1) > eps) or (zero2 and abs(n2) > eps):
-        return "nontrivial-a"
-    return "nontrivial-b"
-
-
 def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
                             omega0: float) -> tuple[float, float]:
     """In-plane fields holding S1 = v_x^2 and S2 = v_y^2 constant for any channel.
@@ -195,13 +181,8 @@ def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
     arr = v.as_array() if isinstance(v, CoherenceVector) else v
     d1, d2 = _general_denominators(arr)
     n1, n2 = _general_numerators(ch, arr, omega0)
-    zero1, zero2 = abs(d1) <= 1e-12, abs(d2) <= 1e-12
-    if zero1 or zero2:
-        cls = _isolated_zero_class(n1, n2, zero1, zero2, _numerator_scale(ch, omega0))
-        report = SingularityReport(cls, t=math.nan, d1=d1, d2=d2, n1=n1, n2=n2)
-        raise SingularPointError(
-            f"vanishing field denominator (D1={d1:.3e}, D2={d2:.3e})", report
-        )
+    if abs(d1) <= 1e-12 or abs(d2) <= 1e-12:
+        raise SingularPointError(f"vanishing field denominator (D1={d1:.3e}, D2={d2:.3e})")
     return n1 / d1, n2 / d2
 
 
@@ -288,22 +269,22 @@ def clip_time(v0: CoherenceVector, gamma: float, omega0: float,
 
 def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
                      t_max: float, omega_max: float | None = None,
-                     cfg: IntegratorConfig | None = None,
                      n_samples: int = 501) -> Trajectory:
     """Propagate the channel under the synthesized coherence-holding fields.
 
     Channels that dephase about z (m0 = diag(-gamma, -gamma, 0) to the
     dephasing-class tolerance) use the closed-form fields; any other channel
     is driven by state-feedback fields recomputed from the current state at
-    every integrator evaluation. Termination records horizon, breakdown at
-    t_b, or the first clip time when omega_max is given.
+    every integrator evaluation. Both integrate at the default IntegratorConfig.
+    Termination records horizon, breakdown at t_b, or the first clip time when
+    omega_max is given.
     """
     if v0.vz == 0.0:
         raise DomainError("v_z(0) = 0: no control is possible")
     gamma = _z_dephasing_rate(ch)
     if gamma is not None:
         w = tracked_waveform(v0, gamma, omega0, omega_max)
-        traj = propagate_bloch(ch, w, v0, t_max, cfg, n_samples)
+        traj = propagate_bloch(ch, w, v0, t_max, n_samples=n_samples)
         if omega_max is not None:
             t_clip = clip_time(v0, gamma, omega0, omega_max)
             if t_clip < t_max and traj.termination.kind == "horizon":
@@ -313,7 +294,7 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     if omega_max is not None:
         raise DomainError("field clipping is only supported on the closed-form "
                           "pure-dephasing path")
-    cfg = cfg or IntegratorConfig()
+    cfg = IntegratorConfig()
     grid, end = _output_grid(t_max, None, n_samples)
     try:
         ys, n_ok = _integrate(_feedback_rhs(ch, omega0), v0.as_array(), grid, cfg)
@@ -397,8 +378,11 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityRepor
         d1, d2 = _general_denominators(vs[j])
         n1, n2 = _general_numerators(ch, vs[j], w0s[j])
         if cls is None:
-            cls = _isolated_zero_class(n1, n2, zero1[j], zero2[j],
-                                       _numerator_scale(ch, w0s[j]))
+            # An isolated zero: no field solves a vanishing row whose numerator
+            # is above EPS_NUMERATOR at the run's scale; otherwise 0/0.
+            eps = EPS_NUMERATOR * _numerator_scale(ch, w0s[j])
+            unsolvable = (zero1[j] and abs(n1) > eps) or (zero2[j] and abs(n2) > eps)
+            cls = "nontrivial-a" if unsolvable else "nontrivial-b"
         return SingularityReport(cls, t=float(ts[j]), d1=d1, d2=d2, n1=n1, n2=n2,
                                  note=note)
 

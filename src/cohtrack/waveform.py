@@ -46,7 +46,8 @@ class ControlWaveform:
         it and reuse what they derived from it while the same object comes
         back.
     t_end : float or None
-        End of the domain of definition (exclusive); None means unbounded.
+        End of the domain of definition (exclusive), positive; None or inf
+        means unbounded.
     breakpoints : sequence of float
         Interior times where the fields may jump.
 
@@ -70,10 +71,12 @@ class ControlWaveform:
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):
+        if t_end is not None and not t_end > 0:
+            raise ValidationError(f"t_end must be positive, got {t_end}")
         self._func = func
         self._segments = None
         self._reference = None
-        self.t_end = t_end
+        self.t_end = None if t_end == math.inf else t_end
         self.breakpoints = tuple(sorted(breakpoints))
 
     @property
@@ -187,17 +190,8 @@ class ControlWaveform:
         return waveform
 
     @classmethod
-    def closed_form(cls, func, t_end, breakpoints=()) -> "ControlWaveform":
-        """Closed-form fields defined only for t < t_end."""
-        if t_end is not None and not (t_end > 0 or math.isinf(t_end)):
-            raise ValidationError(f"t_end must be positive, got {t_end}")
-        if t_end is not None and math.isinf(t_end):
-            t_end = None
-        return cls(func, t_end=t_end, breakpoints=breakpoints)
-
-    @classmethod
     def _holding(cls, func, t_end, reference) -> "ControlWaveform":
         """Closed-form fields built to hold the state `reference(t)[0]`, recorded as `reference`."""
-        waveform = cls.closed_form(func, t_end)
+        waveform = cls(func, t_end)
         waveform._reference = reference
         return waveform

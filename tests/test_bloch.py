@@ -26,7 +26,6 @@ from cohtrack.bloch import (
     density_to_bloch,
     gks_to_channel,
     purity,
-    validate_gks,
 )
 from cohtrack.dynamics import _COMM_MY, _COMM_X, _COMM_Z
 from cohtrack.errors import DomainError, ValidationError
@@ -165,27 +164,22 @@ class TestStateTypes:
 
 class TestGKSValidation:
     def test_valid_dephasing_matrix(self):
-        report = validate_gks(np.diag([0.0, 0.0, 0.05]).astype(complex))
-        assert report.valid
-        assert report.hermiticity_residual <= 1e-12
-        assert report.min_eigenvalue >= -1e-10
+        a = np.diag([0.0, 0.0, 0.05]).astype(complex)
+        assert np.array_equal(GKSMatrix(a).matrix, a)
 
     def test_non_hermitian_rejected(self):
         a = np.zeros((3, 3), dtype=complex)
         a[0, 1] = 1.0
-        report = validate_gks(a)
-        assert not report.valid
-        assert "Hermitian" in report.message
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not Hermitian: residual 1.000e"):
             GKSMatrix(a)
 
     def test_negative_eigenvalue_rejected(self):
-        report = validate_gks(np.diag([1.0, 1.0, -0.5]).astype(complex))
-        assert not report.valid
-        assert "PSD" in report.message
+        with pytest.raises(ValidationError, match="not PSD: min eigenvalue -5.000e-01"):
+            GKSMatrix(np.diag([1.0, 1.0, -0.5]).astype(complex))
 
     def test_wrong_shape_rejected(self):
-        assert not validate_gks(np.eye(2, dtype=complex)).valid
+        with pytest.raises(ValidationError, match=r"must be 3x3, got \(2, 2\)"):
+            GKSMatrix(np.eye(2, dtype=complex))
 
     @pytest.mark.parametrize("scale", [1e3, 1e6, 1e10])
     def test_large_valid_matrix_accepted(self, scale):
@@ -193,15 +187,14 @@ class TestGKSValidation:
         # is judged at max(1, largest |entry|), as the PSD slack is at |A|.
         rng = np.random.default_rng(0)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        report = validate_gks(scale * (0.2 * g @ g.conj().T))
-        assert report.valid, report.message
         GKSMatrix(scale * (0.2 * g @ g.conj().T))
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e10])
     def test_relative_asymmetry_rejected_at_every_scale(self, scale):
         a = scale * np.eye(3, dtype=complex)
         a[0, 1] = 1e-6 * scale
-        assert "Hermitian" in validate_gks(a).message
+        with pytest.raises(ValidationError, match="Hermitian"):
+            GKSMatrix(a)
         m0 = -scale * np.eye(3)
         m0[0, 1] = 1e-6 * scale
         with pytest.raises(ValidationError, match="symmetric"):
@@ -221,9 +214,6 @@ class TestGKSValidation:
         # A NaN passes the Hermiticity and eigenvalue comparisons unnoticed.
         a = np.diag([0.0, 0.0, 0.05]).astype(complex)
         a[2, 2] = entry
-        report = validate_gks(a)
-        assert not report.valid
-        assert "non-finite" in report.message
         with pytest.raises(ValidationError, match="non-finite"):
             GKSMatrix(a)
 

@@ -1,7 +1,6 @@
 """Propagation in both pictures, waveforms, and trajectory serialization."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -51,10 +50,20 @@ class TestWaveforms:
             ControlWaveform.zero()(-0.1)
 
     def test_domain_end_enforced(self):
-        w = ControlWaveform.closed_form(lambda t: (0.0, 0.0, 0.0), t_end=2.0)
+        w = ControlWaveform(lambda t: (0.0, 0.0, 0.0), t_end=2.0)
         w(1.999)
         with pytest.raises(WaveformDomainError):
             w(2.0)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, -math.inf])
+    def test_domain_end_must_be_positive(self, t_end):
+        # Every comparison with NaN is false: a NaN end would let the waveform
+        # answer at any time and a run end `horizon`.
+        with pytest.raises(ValidationError, match="t_end must be positive"):
+            ControlWaveform(lambda t: (0.0, 0.0, 0.0), t_end=t_end)
+
+    def test_infinite_domain_end_means_unbounded(self):
+        assert ControlWaveform(lambda t: (0.0, 0.0, 0.0), t_end=math.inf).t_end is None
 
     def test_sampled_interpolation_and_hold(self):
         t = np.linspace(0.0, 1.0, 5)
@@ -92,7 +101,7 @@ class TestWaveforms:
             calls.append(t)
             return (1.0, 2.0, 3.0)
 
-        f = ControlWaveform.closed_form(func, t_end=1.0).unchecked()
+        f = ControlWaveform(func, t_end=1.0).unchecked()
         assert f is func
         assert calls == [0.0]   # the one checked evaluation
 
@@ -168,7 +177,7 @@ class TestPropagateBloch:
         assert np.max(np.abs(traj.c - traj.c[0])) <= 1e-9
 
     def test_waveform_domain_end_terminates_with_breakdown(self):
-        w = ControlWaveform.closed_form(lambda t: (0.0, 0.0, 0.0), t_end=3.0)
+        w = ControlWaveform(lambda t: (0.0, 0.0, 0.0), t_end=3.0)
         traj = propagate_bloch(ZERO_CHANNEL, w, V0, 10.0, n_samples=101)
         assert traj.termination.kind == "breakdown"
         assert traj.termination.time == 3.0
@@ -227,12 +236,7 @@ class TestPropagateBloch:
             return propagate_bloch(ch, w, v0, 2.0, n_samples=n_samples)
 
         def density(w, n_samples):
-            # scipy's error norm divides by the NaN scale of a complex state.
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "invalid value encountered in divide",
-                                        RuntimeWarning)
-                return propagate_density(a, w, bloch_to_density(v0), 2.0,
-                                         n_samples=n_samples)
+            return propagate_density(a, w, bloch_to_density(v0), 2.0, n_samples=n_samples)
 
         fields = (1.0, 0.5, -0.3)
         cases = [
@@ -366,8 +370,8 @@ class TestExactSteps:
 
 
 def _direct(w: ControlWaveform) -> ControlWaveform:
-    """The same fields on a plain closed-form waveform: no reference, RK45 on v."""
-    return ControlWaveform.closed_form(w.unchecked(), w.t_end, w.breakpoints)
+    """The same fields stripped of `segments` and `reference`: RK45 on v."""
+    return ControlWaveform(w.unchecked(), w.t_end, w.breakpoints)
 
 
 class TestDeviationRoute:
@@ -398,7 +402,7 @@ class TestDeviationRoute:
             return (w0, -w1, w2)
 
         held = ControlWaveform._holding(flipped, w.t_end, w.reference)
-        plain = ControlWaveform.closed_form(flipped, w.t_end)
+        plain = ControlWaveform(flipped, w.t_end)
         got = propagate_bloch(BlochChannel.dephasing(self.GAMMA), held, V0, 8.0,
                               n_samples=161)
         want = propagate_bloch(BlochChannel.dephasing(self.GAMMA), plain, V0, 8.0,
@@ -427,6 +431,62 @@ class TestDeviationRoute:
                                      Rotation3(np.eye(3))),
                   ControlWaveform.constant(1.0)):
             assert w.reference is None
+
+
+_coordinate = st.one_of(st.just(0.0), st.floats(-0.5, 0.5))
+
+
+class TestRouteAgreement:
+    """The waveform's attributes pick the Bloch route; every route agrees with
+    the plain RK45 run of the same fields stripped of them, and the density
+    route agrees too."""
+
+    @given(st.sampled_from(["unital", "non-unital", "near-dephasing"]),
+           st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18),
+           st.floats(0.0, 1.0), st.lists(st.floats(0.01, 0.99), max_size=3),
+           st.floats(0.5, 3.0), st.tuples(_coordinate, _coordinate, _coordinate),
+           st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_piecewise_fields_on_random_channels(self, kind, entries, gamma, cuts,
+                                                 t_max, v, data):
+        g = np.reshape(entries[:9], (3, 3)) + 1j * np.reshape(entries[9:], (3, 3))
+        if kind == "unital":
+            a = 0.1 * g.real @ g.real.T   # real A: k = 0
+        elif kind == "non-unital":
+            a = 0.1 * g @ g.conj().T
+        else:   # dephasing about z with 1e-9 off-diagonals
+            a = np.diag([0.0, 0.0, gamma / 2.0]) + 1e-9 * g @ g.conj().T
+        a = GKSMatrix(a.astype(complex))
+        ch = gks_to_channel(a)[1]
+        edges = np.unique([0.0, *(t_max * np.array(cuts)), t_max])
+        n_seg = len(edges) - 1
+        values = data.draw(st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+                                    min_size=n_seg, max_size=n_seg))
+        w = ControlWaveform.piecewise_constant(edges, values)
+        v0 = CoherenceVector(*v)
+        exact = propagate_bloch(ch, w, v0, t_max, n_samples=11)
+        rk45 = propagate_bloch(ch, _direct(w), v0, t_max, n_samples=11)
+        density = propagate_density(a, w, bloch_to_density(v0), t_max, n_samples=11)
+        for other in (rk45, density):
+            assert other.termination == exact.termination == Termination("horizon")
+            assert np.array_equal(other.t, exact.t)
+            assert np.max(np.abs(other.v - exact.v)) <= 1e-8
+
+    @given(_coordinate, _coordinate, st.floats(1e-3, 0.7), st.booleans(),
+           st.one_of(st.just(0.0), st.floats(0.01, 1.0)), st.floats(-4.0, 4.0),
+           st.floats(0.05, 0.95))
+    @settings(max_examples=20, deadline=None)
+    def test_tracked_dephasing_runs_before_breakdown(self, vx, vy, vz, up, gamma,
+                                                     omega0, fraction):
+        v0 = CoherenceVector(vx, vy, vz if up else -vz)
+        ch = BlochChannel.dephasing(gamma)
+        w = tracked_waveform(v0, gamma, omega0)
+        t_max = fraction * min(w.t_end or math.inf, 10.0)   # before t_b
+        deviation = propagate_bloch(ch, w, v0, t_max, n_samples=21)
+        rk45 = propagate_bloch(ch, _direct(w), v0, t_max, n_samples=21)
+        assert deviation.termination == rk45.termination == Termination("horizon")
+        assert np.array_equal(deviation.t, rk45.t)
+        assert np.max(np.abs(deviation.v - rk45.v)) <= 1e-8
 
 
 class TestPropagateDensity:

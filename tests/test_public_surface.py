@@ -8,12 +8,18 @@ import inspect
 import types
 
 import cohtrack
-from cohtrack import classify_singularity, detect_breakdown, tracking_fields_general
+from cohtrack import (
+    ControlWaveform,
+    classify_singularity,
+    detect_breakdown,
+    simulate_tracked,
+    tracking_fields_general,
+)
 
 PUBLIC_NAMES = [
     "BlochChannel", "CSV_HEADER", "ChannelParams", "CohtrackError",
     "CoherenceVector", "ConfigError", "ControlWaveform", "DensityMatrix", "DomainError",
-    "GKSMatrix", "GKSValidationReport", "HADAMARD", "IDENTITY2",
+    "GKSMatrix", "HADAMARD", "IDENTITY2",
     "IntegratorConfig", "LAMBDAS", "LAMBDA_0", "LAMBDA_1", "LAMBDA_2", "PAULIS",
     "PastBreakdownError", "Rotation3", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "ScenarioConfig", "SingularPointError",
@@ -29,7 +35,7 @@ PUBLIC_NAMES = [
     "run_suite", "simulate_tracked", "su2_to_so3", "sweep_breakdown",
     "tracked_waveform", "tracking_fields_dephasing", "tracking_fields_general",
     "transform_channel", "transform_state",
-    "transport_waveform", "validate_gks", "vz_tracked", "write_trajectory_csv",
+    "transport_waveform", "vz_tracked", "write_trajectory_csv",
 ]
 
 
@@ -47,3 +53,8 @@ def test_parameter_lists_are_pinned():
     assert params(tracking_fields_general) == ["ch", "v", "omega0"]
     assert params(classify_singularity) == ["traj", "ch"]
     assert params(detect_breakdown) == ["ch", "v0", "omega0", "t_cap"]
+    assert params(simulate_tracked) == ["ch", "v0", "omega0", "t_max", "omega_max",
+                                        "n_samples"]
+    # One constructor: `closed_form` is gone and `__init__` checks `t_end`.
+    assert params(ControlWaveform.__init__) == ["self", "func", "t_end", "breakpoints"]
+    assert not hasattr(ControlWaveform, "closed_form")

@@ -17,7 +17,6 @@ from cohtrack.bloch import (
 )
 from cohtrack.dynamics import (
     BREAKDOWN_GUARD,
-    IntegratorConfig,
     Termination,
     Trajectory,
     propagate_bloch,
@@ -151,8 +150,12 @@ class TestFieldSynthesis:
         assert abs(w1_b) > 9 * abs(w1_a)   # (t_b - t)^(-1/2) growth
 
     def test_guard_refuses_times_at_breakdown(self):
-        with pytest.raises(PastBreakdownError):
+        # t < t_b here (v_z is still 2.2e-4), so the message must not say t >= t_b.
+        with pytest.raises(PastBreakdownError,
+                           match=r"inside the breakdown guard, 1\.0e-07 t_b short of"):
             tracking_fields_dephasing(V0, GAMMA, OMEGA0, T_B * (1 - 1e-7))
+        with pytest.raises(PastBreakdownError, match="at or past the breakdown time"):
+            tracking_fields_dephasing(V0, GAMMA, OMEGA0, T_B)
 
     def test_magnitude_identity(self):
         for t in np.linspace(0.0, 0.95 * T_B, 25):
@@ -191,13 +194,13 @@ class TestFieldSynthesis:
         assert abs(got1 - want1) <= 1e-10 * scale
         assert abs(got2 - want2) <= 1e-10 * scale
 
-    def test_general_formula_singular_state_raises_with_report(self):
+    def test_general_formula_singular_state_raises(self):
+        # On the equator both denominators 2 v_y v_z and 2 v_x v_z vanish;
+        # `classify_singularity` classifies such a state along a run.
         eq = CoherenceVector(0.5, 0.5, 0.0)
-        with pytest.raises(SingularPointError) as exc:
+        with pytest.raises(SingularPointError,
+                           match=r"vanishing field denominator \(D1=0.000e\+00, D2=0.000e\+00\)"):
             tracking_fields_general(DEPHASING, eq, OMEGA0)
-        report = exc.value.report
-        assert report is not None
-        assert report.classification in ("nontrivial-a", "nontrivial-b")
 
     def test_tracking_rhs_matches_closed_form_rate(self):
         # With v_x, v_y held, dp/dt = 2 v_z dv_z/dt, so dv_z/dt = -gamma c / v_z
@@ -265,13 +268,14 @@ class TestSimulateTracked:
                        reason="a SingularPointError on the feedback path discards "
                               "every sample taken before it")
     def test_feedback_run_keeps_its_samples_near_a_singular_point(self):
-        # At rtol = atol = 1e-8 the run ends invalid:t=0.1 with one sample;
-        # at the default tolerances it keeps 84 and ends invalid:t=8.4.
+        # With v_y = 1e-4 a trial stage before t = 0.1 lands at v_z = 3e-9,
+        # where |D1| = |2 v_y v_z| < 1e-12, and the run ends invalid:t=0.1
+        # with one sample; with v_y = 1e-3 it keeps 84 and ends invalid:t=8.4.
         m0 = np.diag([-GAMMA, -GAMMA, 0.0])
         m0[0, 1] = m0[1, 0] = 1e-9   # off the dephasing form: the feedback path
         ch = BlochChannel(m0, np.zeros(3))
-        traj = simulate_tracked(ch, V0, OMEGA0, t_max=10.0, n_samples=101,
-                                cfg=IntegratorConfig(rtol=1e-8, atol=1e-8))
+        v0 = CoherenceVector(math.sqrt(0.3 - 1e-8), 1e-4, math.sqrt(0.5))
+        traj = simulate_tracked(ch, v0, OMEGA0, t_max=10.0, n_samples=101)
         assert traj.t[-1] > 8.0   # t_b = 25/3 for the dephasing part
 
     def test_feedback_path_rejects_nonpositive_horizon(self):
@@ -370,10 +374,6 @@ class TestSingularityClassification:
         ch = BlochChannel.dephasing(lam * GAMMA)
         traj = simulate_tracked(ch, V0, lam * OMEGA0, t_max=10.0 / lam)
         assert classify_singularity(traj, ch).classification == "nontrivial-a"
-        v_b = np.array([V0.vx, V0.vy, 0.0])
-        with pytest.raises(SingularPointError) as exc:
-            tracking_fields_general(ch, v_b, lam * OMEGA0)
-        assert exc.value.report.classification == "nontrivial-a"
 
     def test_comment_line_format(self):
         traj = simulate_tracked(DEPHASING, V0, OMEGA0, t_max=10.0)
@@ -496,15 +496,13 @@ def test_classification_matches_per_sample_loop(case):
     assert got.note == want.note
 
 
-def test_isolated_zero_classified_alike_by_formula_and_classifier():
+def test_isolated_zero_classified_by_its_vanishing_row():
     # D1 = 2 v_y v_z vanishes and D2 does not; N1 = 0 over D1 = 0 is 0/0,
-    # while N2 of the regular row is nonzero.
+    # while N2 of the regular row is nonzero and does not make it `nontrivial-a`.
     v = [0.5, 0.0, 0.5]
-    with pytest.raises(SingularPointError) as exc:
-        tracking_fields_general(DEPHASING, np.array(v), OMEGA0)
     report = classify_singularity(_table([_GENERIC, v, _GENERIC]), DEPHASING)
-    assert exc.value.report.classification == report.classification == "nontrivial-b"
-    assert (exc.value.report.n1, exc.value.report.n2) == (report.n1, report.n2)
+    assert report.classification == "nontrivial-b"
+    assert report.n1 == 0.0 and report.n2 != 0.0
 
 
 class TestBreakdownLabel:
