@@ -5,9 +5,9 @@ coherence-vector ODE dv/dt = (m0 + M(t)) v + k, while `propagate_density`
 integrates the density-matrix master equation and converts the samples to
 Bloch coordinates. The density route serves as the oracle for the Bloch route.
 Under piecewise-constant fields the Bloch route steps exactly, one matrix
-exponential per step; under fields built to hold a known reference state it
-integrates the deviation from that state (Encke's method); the density route
-stays on the adaptive integrator.
+exponential per step; under tracking fields, clipped or not, it integrates
+the deviation from the reference state they carry (Encke's method); the
+density route stays on the adaptive integrator.
 
 hbar = 1 throughout; rates and frequencies share inverse-time units.
 """
@@ -301,8 +301,8 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
       one matrix exponential per step between grid points and segment
       starts; `cfg.rtol` then only sets the 1 + 10*rtol cap of the Bloch
       ball below;
-    - with a `reference` v*(t) (the unclipped tracking waveform), RK45 at
-      `cfg` on the deviation e = v - v*(t), and the samples are v* + e;
+    - with a `reference` v*(t) (a tracking waveform, clipped or not), RK45
+      at `cfg` on the deviation e = v - v*(t), and the samples are v* + e;
       `atol` then bounds the deviation's local error;
     - any other, RK45 at `cfg` on v.
 

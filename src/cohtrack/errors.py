@@ -14,14 +14,10 @@ class DomainError(CohtrackError, ValueError):
 
 
 class PastBreakdownError(DomainError):
-    """A closed-form tracking quantity was requested at, past or just short of breakdown."""
+    """A closed-form tracking quantity was requested at or past breakdown."""
 
     def __init__(self, t, t_b):
-        if t >= t_b:
-            super().__init__(f"t={t} is at or past the breakdown time t_b={t_b}")
-        else:   # refused by the guard that keeps the fields finite
-            super().__init__(f"t={t} is inside the breakdown guard, "
-                             f"{(t_b - t) / t_b:.1e} t_b short of t_b={t_b}")
+        super().__init__(f"t={t} is at or past the breakdown time t_b={t_b}")
         self.t = t
         self.t_b = t_b
 

@@ -25,7 +25,6 @@ from .bloch import (
     control_matrix,
 )
 from .dynamics import (
-    BREAKDOWN_GUARD,
     IntegratorConfig,
     SingularityReport,
     Termination,
@@ -85,8 +84,8 @@ class _DephasingTerms:
 
     v_z(t) = sign sqrt(radicand(t)) with radicand(t) = vz0_sq - two_gamma_c t,
     and omega_i(t) = num_i / sqrt(radicand(t)), the sign folded into num_i.
-    `radicand` has no guard; `denominator` and `fields` refuse times from
-    guard_end = t_b (1 - guard) on.
+    `radicand` and `vz` take any time; `denominator` and `fields` refuse
+    times where the radicand is not positive, from t_b on.
     """
 
     sign: float
@@ -95,7 +94,6 @@ class _DephasingTerms:
     vz0_sq: float
     two_gamma_c: float
     t_b: float
-    guard_end: float
 
     def radicand(self, t: float) -> float:
         return self.vz0_sq - self.two_gamma_c * t
@@ -104,9 +102,10 @@ class _DephasingTerms:
         return self.sign * math.sqrt(max(0.0, self.radicand(t)))
 
     def denominator(self, t: float) -> float:
-        if t >= self.guard_end:
+        radicand = self.radicand(t)
+        if not radicand > 0.0:
             raise PastBreakdownError(t, self.t_b)
-        return math.sqrt(self.radicand(t))
+        return math.sqrt(radicand)
 
     def fields(self, t: float) -> tuple[float, float]:
         denom = self.denominator(t)
@@ -130,7 +129,6 @@ def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float,
         vz0_sq=vz0_sq,
         two_gamma_c=two_gamma_c,
         t_b=t_b,
-        guard_end=t_b * (1.0 - BREAKDOWN_GUARD),
     )
 
 
@@ -201,52 +199,47 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                      omega_max: float | None = None) -> ControlWaveform:
     """Closed-form tracking waveform for a pure-dephasing channel.
 
-    Without a clip level the waveform ends at t_b; its fields refuse times
-    from t_b (1 - BREAKDOWN_GUARD) on, where a run stops sampling, so they
-    stay finite in double precision. It records as its `reference` the state
-    the fields hold, v*(t) = (v_x(0), v_y(0), v_z(t)), and its rate. With
-    omega_max, each in-plane field is clamped independently once it would
-    exceed the level, the waveform is defined for all times (the fields
-    saturate), and the clamp times are breakpoints; it has no reference.
+    Each in-plane field is clamped to +-omega_max (no level: inf), and the
+    clamp times are breakpoints. Without a level the waveform ends at t_b;
+    with one, each field saturates from t_b on. Its `reference` is the state
+    the fields hold, v*(t) = (v_x(0), v_y(0), v_z(t)), and its rate, up to
+    the first clamp (t_b without a level); from there v* stays put.
     """
     terms = _dephasing_terms(v0, gamma, omega0)
+    level = math.inf if omega_max is None else omega_max
+    clamps = _clip_times(terms, level)
+    t_hold = min(clamps)
+    # From t_b on the fields have diverged: each is held at the level, or at 0.
+    diverged = tuple(math.copysign(level, num) if num else 0.0
+                     for num in (terms.num1, terms.num2))
 
-    if omega_max is None:
-        def fields(t):
+    def fields(t):
+        try:
             w1, w2 = terms.fields(t)
-            return (omega0, w1, w2)
+        except PastBreakdownError:
+            return (omega0, *diverged)
+        return (omega0, w1 if abs(w1) <= level else math.copysign(level, w1),
+                w2 if abs(w2) <= level else math.copysign(level, w2))
 
-        def reference(t):
-            # v* = (v_x0, v_y0, v_z(t)) and dv*/dt = (0, 0, -gamma c / v_z(t)).
-            vz = terms.vz(t)
-            return (np.array([v0.vx, v0.vy, vz]),
-                    np.array([0.0, 0.0, -0.5 * terms.two_gamma_c / vz]))
+    frozen = (np.array([v0.vx, v0.vy, terms.vz(t_hold)]), np.zeros(3))
 
-        return ControlWaveform._holding(fields, terms.t_b, reference)
+    def reference(t):
+        if t >= t_hold:
+            return frozen
+        # v* = (v_x0, v_y0, v_z(t)) and dv*/dt = (0, 0, -gamma c / v_z(t)).
+        vz = terms.vz(t)
+        return (np.array([v0.vx, v0.vy, vz]),
+                np.array([0.0, 0.0, -0.5 * terms.two_gamma_c / vz]))
 
-    if omega_max <= 0:
-        raise DomainError(f"omega_max must be positive, got {omega_max}")
-    num1, num2 = terms.num1, terms.num2
-
-    def clipped(t):
-        if t >= terms.guard_end:
-            w1 = math.copysign(omega_max, num1) if num1 != 0 else 0.0
-            w2 = math.copysign(omega_max, num2) if num2 != 0 else 0.0
-            return (omega0, w1, w2)
-        w1, w2 = terms.fields(t)
-        return (omega0,
-                max(-omega_max, min(omega_max, w1)),
-                max(-omega_max, min(omega_max, w2)))
-
-    # The fields have a kink where each is clamped and another at guard_end.
-    kinks = {t for t in _clip_times(terms, omega_max) if 0.0 < t < terms.guard_end}
-    if not math.isinf(terms.guard_end):
-        kinks.add(terms.guard_end)
-    return ControlWaveform(clipped, breakpoints=kinks)
+    t_end = terms.t_b if omega_max is None else None
+    kinks = [t for t in clamps if 0.0 < t < terms.t_b]
+    return ControlWaveform._holding(fields, t_end, reference, kinks)
 
 
 def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]:
     """Times at which the tracked omega1 and omega2 each reach omega_max (inf: never)."""
+    if not omega_max > 0:
+        raise DomainError(f"omega_max must be positive, got {omega_max}")
     times = []
     for num in (terms.num1, terms.num2):
         if num == 0.0:
@@ -277,7 +270,8 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     is driven by state-feedback fields recomputed from the current state at
     every integrator evaluation. Both integrate at the default IntegratorConfig.
     Termination records horizon, breakdown at t_b, or the first clip time when
-    omega_max is given.
+    omega_max is given. A state-feedback start with v_x = 0 or v_y = 0
+    raises SingularPointError.
     """
     if v0.vz == 0.0:
         raise DomainError("v_z(0) = 0: no control is possible")
@@ -296,10 +290,7 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
                           "pure-dephasing path")
     cfg = IntegratorConfig()
     grid, end = _output_grid(t_max, None, n_samples)
-    try:
-        ys, n_ok = _integrate(_feedback_rhs(ch, omega0), v0.as_array(), grid, cfg)
-    except SingularPointError:
-        ys, n_ok = np.array([v0.as_array()]), 1
+    ys, n_ok = _integrate(_feedback_rhs(ch, omega0, v0), v0.as_array(), grid, cfg)
 
     def fields(ts, vs):
         omega = np.full((len(ts), 3), np.nan)
@@ -313,14 +304,25 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     return _trajectory(grid, ys, n_ok, cfg, end, fields)
 
 
-def _feedback_rhs(ch: BlochChannel, omega0: float):
-    """dv/dt under state-feedback fields recomputed from the raw state."""
+def _feedback_rhs(ch: BlochChannel, omega0: float, v0: CoherenceVector):
+    """dv/dt under state-feedback fields recomputed from the raw state.
+
+    NaN where no fields exist, so the solver tries a shorter step; raises
+    unless v0 has a rate, since RK45 never returns from a NaN first step.
+    """
     m0, k = ch.m0, ch.k
 
-    def rhs(t, v):
+    def rate(v):
         w1, w2 = tracking_fields_general(ch, v, omega0)
         return (m0 + control_matrix(omega0, w1, w2)) @ v + k
 
+    def rhs(t, v):
+        try:
+            return rate(v)
+        except DomainError:
+            return np.full(3, np.nan)
+
+    rate(v0.as_array())
     return rhs
 
 
@@ -328,9 +330,10 @@ def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
                      t_cap: float) -> float:
     """Numerically detect breakdown by running the state-feedback controller.
 
-    Integrates until |v_z| falls below DETECT_VZ_FLOOR and returns that time; used
-    to cross-check the closed-form breakdown time independently, at the
-    default tolerances of IntegratorConfig.
+    Integrates until |v_z| falls below DETECT_VZ_FLOOR and returns that time
+    (inf if not before t_cap); used to cross-check the closed-form breakdown
+    time independently, at the default tolerances of IntegratorConfig. A
+    solver that stops early raises DomainError.
     """
     if v0.vz == 0.0:
         return 0.0
@@ -341,8 +344,10 @@ def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
 
     hit_floor.terminal = True
     hit_floor.direction = -1
-    sol = solve_ivp(_feedback_rhs(ch, omega0), (0.0, t_cap), v0.as_array(),
+    sol = solve_ivp(_feedback_rhs(ch, omega0, v0), (0.0, t_cap), v0.as_array(),
                     method="RK45", rtol=cfg.rtol, atol=cfg.atol, events=hit_floor)
+    if sol.status == -1:
+        raise DomainError(f"breakdown detection stopped at t={sol.t[-1]}: {sol.message}")
     if sol.t_events[0].size:
         return float(sol.t_events[0][0])
     return math.inf

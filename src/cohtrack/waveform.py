@@ -6,8 +6,8 @@ piecewise concatenation of segments. Waveforms evaluate to a (3,) float array
 and carry an optional end of domain `t_end` plus `breakpoints` at which the
 fields may be discontinuous (integrators split there). Piecewise-constant
 waveforms also carry their `segments`, from which `propagate_bloch` steps
-exactly, and the unclipped tracking waveform carries the `reference` state
-its fields hold, from which `propagate_bloch` integrates the deviation.
+exactly, and a tracking waveform, clipped or not, carries the `reference`
+state its fields hold, from which `propagate_bloch` integrates the deviation.
 
 Calling a waveform checks the time against its domain and the shape of the
 fields. Integrators and field tables, which only evaluate inside
@@ -59,15 +59,12 @@ class ControlWaveform:
         triple held on each, looked up with `segment_index`. None for every
         other waveform, whose fields are known only through `func`.
     reference : callable or None
-        `t -> (v*(t), dv*/dt(t))`, two (3,) arrays: the state an unclipped
-        `tracking.tracked_waveform` is built to hold and its rate, defined
-        where the fields are. None for every other waveform.
+        `t -> (v*(t), dv*/dt(t))`, two (3,) arrays, defined where the fields
+        are: for a `tracking.tracked_waveform`, the state its fields hold up
+        to the first clamp, and from there that state at rest. None for
+        every other waveform.
 
-    `propagate_bloch` takes three routes: a waveform with `segments` is
-    stepped exactly, one matrix exponential per step; one with a
-    `reference` goes through RK45 on the deviation v - v*(t) (Encke's
-    method), so `atol` bounds the deviation's local error; any other goes
-    through RK45 on v.
+    `propagate_bloch` picks its route from these two attributes.
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):
@@ -190,8 +187,8 @@ class ControlWaveform:
         return waveform
 
     @classmethod
-    def _holding(cls, func, t_end, reference) -> "ControlWaveform":
+    def _holding(cls, func, t_end, reference, breakpoints=()) -> "ControlWaveform":
         """Closed-form fields built to hold the state `reference(t)[0]`, recorded as `reference`."""
-        waveform = cls(func, t_end)
+        waveform = cls(func, t_end, breakpoints)
         waveform._reference = reference
         return waveform

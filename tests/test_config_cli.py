@@ -196,6 +196,19 @@ class TestCLITrajectories:
         assert main(["--out-dir", str(tmp_path), "track", cfg]) == 2
         assert "no control is possible" in capsys.readouterr().err
 
+    def test_singular_state_feedback_start_exits_2(self, tmp_path, capsys):
+        # Unequal x and y rates: the state-feedback route, where v_y = 0 makes
+        # the denominator D1 = 2 v_y v_z vanish.
+        matrix = [[[0.0, 0.0]] * 3 for _ in range(3)]
+        matrix[0][0], matrix[2][2] = [0.01, 0.0], [0.05, 0.0]
+        obj = dict(TRACK_CONFIG, channel={"type": "gks", "matrix": matrix},
+                   initial_state={"vx": 0.5, "vy": 0.0, "vz": 0.6})
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), "track", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: vanishing field denominator (D1=0.000e+00, D2=6.000e-01)\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_infinite_phase_is_one_error_line(self, tmp_path, capsys):
         obj = dict(TRACK_CONFIG,
                    initial_state={"coherence": 0.3, "purity": 0.8, "phase": math.inf})

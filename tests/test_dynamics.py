@@ -32,7 +32,7 @@ from cohtrack.dynamics import (
 )
 from cohtrack.equivalence import Rotation3, transport_waveform
 from cohtrack.errors import DomainError, ValidationError, WaveformDomainError
-from cohtrack.tracking import tracked_waveform
+from cohtrack.tracking import breakdown_time, tracked_waveform, tracking_fields_dephasing
 from cohtrack.waveform import ControlWaveform
 
 V0 = CoherenceVector(0.39, 0.39, 1.0 / math.sqrt(2.0))
@@ -423,10 +423,21 @@ class TestDeviationRoute:
         assert np.array_equal(got.t, want.t)
         assert np.max(np.abs(got.v - want.v)) <= 1e-8
 
-    def test_clipped_and_other_waveforms_have_no_reference(self):
+    def test_a_clipped_reference_stops_at_the_first_clamp(self):
+        plain = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
+        clipped = tracked_waveform(V0, self.GAMMA, self.OMEGA0, omega_max=5.0)
+        first = clipped.breakpoints[0]
+        for t in np.linspace(0.0, first, 5, endpoint=False).tolist():
+            for got, want in zip(clipped.reference(t), plain.reference(t)):
+                assert np.array_equal(got, want)
+        for t in (first, 0.5 * (first + plain.t_end), 2.0 * plain.t_end):
+            state, rate = clipped.reference(t)
+            assert np.array_equal(state, plain.reference(first)[0])
+            assert not np.any(rate)
+
+    def test_other_waveforms_have_no_reference(self):
         t = np.linspace(0.0, 2.0, 5)
-        for w in (tracked_waveform(V0, self.GAMMA, self.OMEGA0, omega_max=5.0),
-                  ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
+        for w in (ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
                   transport_waveform(tracked_waveform(V0, self.GAMMA, self.OMEGA0),
                                      Rotation3(np.eye(3))),
                   ControlWaveform.constant(1.0)):
@@ -474,19 +485,42 @@ class TestRouteAgreement:
 
     @given(_coordinate, _coordinate, st.floats(1e-3, 0.7), st.booleans(),
            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), st.floats(-4.0, 4.0),
-           st.floats(0.05, 0.95))
+           st.floats(0.05, 1.0), st.one_of(st.none(), st.floats(1.0, 20.0)))
     @settings(max_examples=20, deadline=None)
     def test_tracked_dephasing_runs_before_breakdown(self, vx, vy, vz, up, gamma,
-                                                     omega0, fraction):
+                                                     omega0, fraction, clip):
+        # Unclipped runs end before t_b; clipped ones, at a level 1-20 times
+        # the larger initial field, run up to 1.3 t_b.
         v0 = CoherenceVector(vx, vy, vz if up else -vz)
         ch = BlochChannel.dephasing(gamma)
-        w = tracked_waveform(v0, gamma, omega0)
-        t_max = fraction * min(w.t_end or math.inf, 10.0)   # before t_b
+        if clip is None:
+            w, reach = tracked_waveform(v0, gamma, omega0), 0.95
+        else:
+            initial = max(map(abs, tracking_fields_dephasing(v0, gamma, omega0, 0.0)))
+            w = tracked_waveform(v0, gamma, omega0, clip * (initial or 1.0))
+            reach = 1.3
+        t_max = fraction * reach * min(breakdown_time(v0, gamma), 10.0)
         deviation = propagate_bloch(ch, w, v0, t_max, n_samples=21)
         rk45 = propagate_bloch(ch, _direct(w), v0, t_max, n_samples=21)
         assert deviation.termination == rk45.termination == Termination("horizon")
         assert np.array_equal(deviation.t, rk45.t)
         assert np.max(np.abs(deviation.v - rk45.v)) <= 1e-8
+
+    def test_clipped_run_with_a_zero_numerator(self):
+        # omega1 = (omega0 v_x - gamma v_y) / v_z is 0 from this start; omega2
+        # reaches -3 at t = 1.013, before t_b = 1.152, and stays there.
+        gamma, v0 = 0.5, CoherenceVector(0.25, 0.5, 0.6)
+        ch = BlochChannel.dephasing(gamma)
+        w = tracked_waveform(v0, gamma, 1.0, 3.0)
+        t_b = breakdown_time(v0, gamma)
+        deviation = propagate_bloch(ch, w, v0, 1.3 * t_b, n_samples=27)
+        rk45 = propagate_bloch(ch, _direct(w), v0, 1.3 * t_b, n_samples=27)
+        assert deviation.termination == rk45.termination == Termination("horizon")
+        assert np.max(np.abs(deviation.v - rk45.v)) <= 1e-8
+        assert np.array_equal(deviation.omega, rk45.omega)
+        assert not np.any(deviation.omega[:, 1])
+        past = deviation.t >= t_b
+        assert np.sum(past) >= 3 and np.all(deviation.omega[past, 2] == -3.0)
 
 
 class TestPropagateDensity:

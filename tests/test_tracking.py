@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohtrack import tracking
 from cohtrack.bloch import (
     BlochChannel,
     CoherenceVector,
@@ -16,7 +17,6 @@ from cohtrack.bloch import (
     gks_to_channel,
 )
 from cohtrack.dynamics import (
-    BREAKDOWN_GUARD,
     Termination,
     Trajectory,
     propagate_bloch,
@@ -149,12 +149,14 @@ class TestFieldSynthesis:
         w1_b, _ = tracking_fields_dephasing(V0, GAMMA, OMEGA0, 0.999 * T_B)
         assert abs(w1_b) > 9 * abs(w1_a)   # (t_b - t)^(-1/2) growth
 
-    def test_guard_refuses_times_at_breakdown(self):
-        # t < t_b here (v_z is still 2.2e-4), so the message must not say t >= t_b.
+    def test_fields_refuse_times_from_breakdown_on(self):
+        # A run stops sampling t_b 1e-6 short of t_b; the fields are finite
+        # up to t_b, where v_z reaches 0.
+        for t in T_B * (1.0 - np.logspace(-6.5, -14, 6)):
+            w1, w2 = tracking_fields_dephasing(V0, GAMMA, OMEGA0, float(t))
+            assert math.isfinite(w1) and math.isfinite(w2) and abs(w1) > 1e3
         with pytest.raises(PastBreakdownError,
-                           match=r"inside the breakdown guard, 1\.0e-07 t_b short of"):
-            tracking_fields_dephasing(V0, GAMMA, OMEGA0, T_B * (1 - 1e-7))
-        with pytest.raises(PastBreakdownError, match="at or past the breakdown time"):
+                           match=f"t={T_B} is at or past the breakdown time t_b={T_B}"):
             tracking_fields_dephasing(V0, GAMMA, OMEGA0, T_B)
 
     def test_magnitude_identity(self):
@@ -264,19 +266,31 @@ class TestSimulateTracked:
         assert np.max(np.abs(traj.v[:, 0] - V0.vx)) <= 1e-6
         assert np.max(np.abs(traj.v[:, 1] - V0.vy)) <= 1e-6
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a SingularPointError on the feedback path discards "
-                              "every sample taken before it")
     def test_feedback_run_keeps_its_samples_near_a_singular_point(self):
         # With v_y = 1e-4 a trial stage before t = 0.1 lands at v_z = 3e-9,
-        # where |D1| = |2 v_y v_z| < 1e-12, and the run ends invalid:t=0.1
-        # with one sample; with v_y = 1e-3 it keeps 84 and ends invalid:t=8.4.
+        # where |D1| = |2 v_y v_z| < 1e-12. Its NaN rate makes the solver
+        # retry a shorter step instead of ending the run with one sample.
         m0 = np.diag([-GAMMA, -GAMMA, 0.0])
         m0[0, 1] = m0[1, 0] = 1e-9   # off the dephasing form: the feedback path
         ch = BlochChannel(m0, np.zeros(3))
         v0 = CoherenceVector(math.sqrt(0.3 - 1e-8), 1e-4, math.sqrt(0.5))
         traj = simulate_tracked(ch, v0, OMEGA0, t_max=10.0, n_samples=101)
         assert traj.t[-1] > 8.0   # t_b = 25/3 for the dephasing part
+
+    def test_feedback_start_on_a_singular_point_raises_before_the_solver(self, monkeypatch):
+        # D1 = 2 v_y v_z = 0: a NaN first rate would give scipy's RK45 a NaN
+        # first step, from which it never returns.
+        def fail(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(tracking, "_integrate", fail)
+        monkeypatch.setattr(tracking, "solve_ivp", fail)
+        ch = BlochChannel(np.diag([-GAMMA, -1.2 * GAMMA, 0.0]), np.zeros(3))
+        v0 = CoherenceVector(0.5, 0.0, 0.6)
+        with pytest.raises(SingularPointError, match="D1=0.000e\\+00"):
+            simulate_tracked(ch, v0, OMEGA0, t_max=10.0, n_samples=11)
+        with pytest.raises(SingularPointError, match="D1=0.000e\\+00"):
+            detect_breakdown(ch, v0, OMEGA0, t_cap=10.0)
 
     def test_feedback_path_rejects_nonpositive_horizon(self):
         ch = BlochChannel(np.diag([-GAMMA, -1.2 * GAMMA, 0.0]), np.zeros(3))
@@ -296,6 +310,20 @@ class TestSimulateTracked:
         detected = detect_breakdown(DEPHASING, V0, OMEGA0, t_cap=12.0)
         assert abs(detected - T_B) / T_B <= 0.01
 
+    def test_detect_breakdown_raises_when_the_solver_stops(self, monkeypatch):
+        # No rate below v_z = 0.5, which the run reaches at t = 25/6: the
+        # solver's step shrinks to nothing there. That is no breakdown.
+        fields = tracking.tracking_fields_general
+
+        def no_fields_below_half(ch, v, omega0):
+            if abs(v[2]) < 0.5:
+                raise SingularPointError("no fields here")
+            return fields(ch, v, omega0)
+
+        monkeypatch.setattr(tracking, "tracking_fields_general", no_fields_below_half)
+        with pytest.raises(DomainError, match=r"breakdown detection stopped at t=4\.16"):
+            detect_breakdown(DEPHASING, V0, OMEGA0, t_cap=12.0)
+
 
 class TestClipping:
     def test_clip_time_closed_form(self):
@@ -308,15 +336,25 @@ class TestClipping:
     def test_each_clamp_kink_is_a_breakpoint(self):
         omega_max = 5.0
         w = tracked_waveform(V0, GAMMA, OMEGA0, omega_max)
-        first, second, guard_end = w.breakpoints
+        first, second = w.breakpoints
         assert first == clip_time(V0, GAMMA, OMEGA0, omega_max)
         # |omega1| = (omega0 - gamma) v_x / v_z and |omega2| = (omega0 + gamma) v_x / v_z
-        # reach the level one after the other, both before the guard end.
+        # reach the level one after the other, both before t_b.
         w1, _ = tracking_fields_dephasing(V0, GAMMA, OMEGA0, second)
         assert math.isclose(abs(w1), omega_max, rel_tol=1e-12)
-        assert guard_end == T_B * (1.0 - BREAKDOWN_GUARD)
-        assert tracked_waveform(V0, GAMMA, OMEGA0, 1e6).breakpoints == (guard_end,)
+        assert second < T_B and w.t_end is None
+        # A high level clamps just short of t_b; no level never clamps.
+        high = tracked_waveform(V0, GAMMA, OMEGA0, 1e6).breakpoints
+        assert len(high) == 2 and all(T_B * (1 - 1e-9) < t < T_B for t in high)
+        assert tracked_waveform(V0, GAMMA, OMEGA0).breakpoints == ()
         assert tracked_waveform(V0, 0.0, OMEGA0, 1e6).breakpoints == ()
+
+    @pytest.mark.parametrize("omega_max", [0.0, -5.0, math.nan])
+    def test_level_must_be_positive(self, omega_max):
+        # clip_time used to divide by a zero level.
+        for build in (tracked_waveform, clip_time):
+            with pytest.raises(DomainError, match="omega_max must be positive"):
+                build(V0, GAMMA, OMEGA0, omega_max)
 
     def test_clip_never_reached_for_large_level(self):
         assert clip_time(V0, 0.0, 1.0, 1e6) == math.inf
