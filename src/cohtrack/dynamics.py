@@ -214,26 +214,30 @@ def _exact_steps(ch: BlochChannel, segments, v0: np.ndarray,
     return np.array(xs)[np.searchsorted(times, grid), 1:]
 
 
-def _deviation_steps(ch: BlochChannel, fields, reference, v0: np.ndarray,
-                     grid: np.ndarray, cfg: IntegratorConfig, breakpoints):
+def _deviation_steps(ch: BlochChannel, w: ControlWaveform, fields, v0: np.ndarray,
+                     grid: np.ndarray, cfg: IntegratorConfig):
     """RK45 samples of v = v*(t) + e on the grid, integrating the deviation e.
 
-    `reference(t)` gives the reference state v*(t) and its rate; e obeys
+    `fields` is `w.unchecked()`, and `w.reference(t)` gives the reference
+    state v*(t) and its rate; e obeys
     de/dt = f(t, v* + e) - dv*/dt with e(0) = v0 - v*(0), an exact change of
     variable for any reference (Encke's method; Battin, AIAA 1999). When v*
     is what the fields hold, e stays small and smooth, so the steps are no
-    longer limited by the rotation the fields drive. Returns (ys, n_ok) as
-    `_integrate` does.
+    longer limited by the rotation the fields drive. The right-hand side
+    evaluates the fields and v* one time at a time, with scalar arithmetic;
+    v* on the output grid comes from `w.reference_states`, one array
+    evaluation for the whole grid. Returns (ys, n_ok) as `_integrate` does.
     """
     rhs = _bloch_rhs(ch, fields)
+    reference = w.reference
 
     def deviation_rhs(t, e):
         state, rate = reference(t)
         return rhs(t, state + e) - rate
 
     es, n_ok = _integrate(deviation_rhs, v0 - reference(grid[0])[0], grid, cfg,
-                          breakpoints)
-    return es + np.array([reference(t)[0] for t in grid.tolist()]), n_ok
+                          w.breakpoints)
+    return es + w.reference_states(grid), n_ok
 
 
 def _output_grid(t_max: float, t_end: float | None,
@@ -256,11 +260,6 @@ def _output_grid(t_max: float, t_end: float | None,
             grid = np.array([0.0])
         return grid, Termination("breakdown", float(t_end))
     return grid, Termination("horizon")
-
-
-def _fields_on_grid(fields, grid: np.ndarray) -> np.ndarray:
-    """(len(grid), 3) table of a raw field function on a grid inside its domain."""
-    return np.array([fields(t) for t in grid.tolist()], dtype=float)
 
 
 def _trajectory(grid: np.ndarray, vs: np.ndarray, n_ok: int, cfg: IntegratorConfig,
@@ -317,12 +316,11 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     if w.segments is not None:
         ys, n_ok = _exact_steps(ch, w.segments, v0.as_array(), grid), len(grid)
     elif w.reference is not None:
-        ys, n_ok = _deviation_steps(ch, fields, w.reference, v0.as_array(), grid, cfg,
-                                    w.breakpoints)
+        ys, n_ok = _deviation_steps(ch, w, fields, v0.as_array(), grid, cfg)
     else:
         ys, n_ok = _integrate(_bloch_rhs(ch, fields), v0.as_array(), grid, cfg,
                               w.breakpoints)
-    return _trajectory(grid, ys, n_ok, cfg, end, lambda g, _: _fields_on_grid(fields, g))
+    return _trajectory(grid, ys, n_ok, cfg, end, lambda g, _: w.table(g))
 
 
 def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
@@ -371,7 +369,7 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
     for i in range(n_ok):
         rho = ys[i].reshape(2, 2)
         vs[i] = [np.trace(rho @ s).real for s in PAULIS]
-    return _trajectory(grid, vs, n_ok, cfg, end, lambda g, _: _fields_on_grid(fields, g))
+    return _trajectory(grid, vs, n_ok, cfg, end, lambda g, _: w.table(g))
 
 
 def free_dephasing_analytic(gamma: float, v0: CoherenceVector, t: float) -> CoherenceVector:
@@ -421,7 +419,7 @@ def _parse_singularity(spec: str):
 
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory CSV written by write_trajectory_csv."""
-    _, rows, comments = read_csv_columns(path, CSV_HEADER.split(","))
+    _, data, comments = read_csv_columns(path, CSV_HEADER.split(","))
     termination, singularity = Termination("horizon"), None
     for i, ln in comments:
         if ln.startswith("# termination="):
@@ -438,8 +436,7 @@ def read_trajectory_csv(path) -> Trajectory:
                 singularity = _parse_singularity(ln.split("=", 1)[1])
             except ValueError:
                 raise ValidationError(f"{path}: row {i}: bad singularity line") from None
-    if not rows:
+    if not len(data):
         raise ValidationError(f"{path}: no data rows")
-    data = np.array(rows)
     return Trajectory(data[:, 0], data[:, 1:4], data[:, 4], data[:, 5],
                       data[:, 6:9], termination, singularity)

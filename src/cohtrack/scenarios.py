@@ -42,8 +42,7 @@ def output_path(path, out_dir) -> Path:
 
 def load_fixed_waveform(path) -> ControlWaveform:
     """Load a sampled waveform from a fields CSV (t,omega0,omega1,omega2)."""
-    _, rows, _ = read_csv_columns(path, FIELDS_HEADER)
-    data = np.array(rows, dtype=float).reshape(-1, len(FIELDS_HEADER))
+    _, data, _ = read_csv_columns(path, FIELDS_HEADER)
     try:
         return ControlWaveform.sampled(data[:, 0], data[:, 1:4])
     except ValidationError as e:
@@ -96,9 +95,9 @@ def emit_fields(cfg: ScenarioConfig, out_dir=".") -> Path:
         raise ConfigError("fields emission requires a channel that dephases about z")
     w = tracked_waveform(cfg.initial_state, gamma, cfg.control.omega0, cfg.control.omega_max)
     grid, _ = _output_grid(cfg.t_max, w.t_end, cfg.samples)
-    fields = w.unchecked()   # the grid lies in [0, t_end)
+    w.unchecked()   # refuses fields that are not finite at t = 0
     out_path = output_path(cfg.output, out_dir)
-    write_table(out_path, FIELDS_HEADER, ((t, *fields(t)) for t in grid.tolist()))
+    write_table(out_path, FIELDS_HEADER, np.column_stack([grid, w.table(grid)]).tolist())
     return out_path
 
 

@@ -85,7 +85,8 @@ class _DephasingTerms:
     v_z(t) = sign sqrt(radicand(t)) with radicand(t) = vz0_sq - two_gamma_c t,
     and omega_i(t) = num_i / sqrt(radicand(t)), the sign folded into num_i.
     `radicand` and `vz` take any time; `denominator` and `fields` refuse
-    times where the radicand is not positive, from t_b on.
+    times where the radicand is not positive, from t_b on. `radicand` also
+    takes a time array, and `vz_on` is `vz` over one.
     """
 
     sign: float
@@ -101,6 +102,9 @@ class _DephasingTerms:
     def vz(self, t: float) -> float:
         return self.sign * math.sqrt(max(0.0, self.radicand(t)))
 
+    def vz_on(self, ts: np.ndarray) -> np.ndarray:
+        return self.sign * np.sqrt(np.maximum(0.0, self.radicand(ts)))
+
     def denominator(self, t: float) -> float:
         radicand = self.radicand(t)
         if not radicand > 0.0:
@@ -114,11 +118,15 @@ class _DephasingTerms:
 
 def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float,
                      t: float = 0.0) -> _DephasingTerms:
-    """Checks gamma >= 0, v_z(0) != 0 and t >= 0 and builds the closed-form terms."""
+    """Checks gamma >= 0, v_z(0)^2 != 0 and t >= 0 and builds the closed-form terms."""
     vz0_sq = v0.vz**2
     two_gamma_c, t_b = map(float, _breakdown(vz0_sq, coherence(v0), gamma))
     if v0.vz == 0.0:
         raise DomainError("v_z(0) = 0: no control is possible")
+    if vz0_sq == 0.0:
+        # The tracked v_z and the fields would divide by sqrt(v_z(0)^2) = 0.
+        raise DomainError(f"v_z(0)^2 underflows to 0 (v_z(0) = {v0.vz!r}): "
+                          "no control is possible")
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     s = 1.0 if v0.vz > 0 else -1.0
@@ -221,7 +229,20 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
         return (omega0, w1 if abs(w1) <= level else math.copysign(level, w1),
                 w2 if abs(w2) <= level else math.copysign(level, w2))
 
-    frozen = (np.array([v0.vx, v0.vy, terms.vz(t_hold)]), np.zeros(3))
+    def fields_on(ts):
+        # `fields` at every time at once: the same divisions and clamps.
+        radicand = terms.radicand(ts)
+        live = radicand > 0.0
+        denom = np.sqrt(np.where(live, radicand, 1.0))
+        table = np.empty((len(ts), 3))
+        table[:, 0] = omega0
+        for j, num, held in ((1, terms.num1, diverged[0]), (2, terms.num2, diverged[1])):
+            w = np.where(live, num / denom, held)
+            table[:, j] = np.where(np.abs(w) <= level, w, np.copysign(level, w))
+        return table
+
+    vz_hold = terms.vz(t_hold)
+    frozen = (np.array([v0.vx, v0.vy, vz_hold]), np.zeros(3))
 
     def reference(t):
         if t >= t_hold:
@@ -231,9 +252,16 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
         return (np.array([v0.vx, v0.vy, vz]),
                 np.array([0.0, 0.0, -0.5 * terms.two_gamma_c / vz]))
 
+    def states_on(ts):
+        # `reference(t)[0]` at every time at once.
+        states = np.empty((len(ts), 3))
+        states[:, :2] = v0.vx, v0.vy
+        states[:, 2] = np.where(ts >= t_hold, vz_hold, terms.vz_on(ts))
+        return states
+
     t_end = terms.t_b if omega_max is None else None
     kinks = [t for t in clamps if 0.0 < t < terms.t_b]
-    return ControlWaveform._holding(fields, t_end, reference, kinks)
+    return ControlWaveform._holding(fields, t_end, reference, kinks, (fields_on, states_on))
 
 
 def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]:

@@ -180,16 +180,18 @@ def check_fig1_sweep(seed=DEFAULT_SEED):
             "output": str(Path(tmp) / "sweep.csv"),
         })
         path = sweep_breakdown(spec)
-        _, rows, _ = read_csv_columns(path)
+        _, cells, _ = read_csv_columns(path)
     worst = 0.0
     feasible = []
-    for c, p, t_b in rows:
+    for c, p, t_b in cells.tolist():
         if c > p:
-            if t_b is not None:
+            if not math.isnan(t_b):   # an infeasible cell is empty
                 worst = math.inf
             continue
         expected = (p - c) / (0.2 * c)
-        if t_b != expected:
+        if math.isnan(t_b):   # an empty feasible cell
+            worst = math.inf
+        elif t_b != expected:
             worst = max(worst, abs(t_b - expected))
         if 0.5 <= expected <= 100.0:
             feasible.append((c, p, expected))

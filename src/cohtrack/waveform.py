@@ -12,7 +12,7 @@ state its fields hold, from which `propagate_bloch` integrates the deviation.
 Calling a waveform checks the time against its domain and the shape of the
 fields. Integrators and field tables, which only evaluate inside
 [0, t_end), check the shape once through `unchecked()` and then call the raw
-field function.
+field function, or `table` for a whole grid of times.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class ControlWaveform:
         to the first clamp, and from there that state at rest. None for
         every other waveform.
 
-    `propagate_bloch` picks its route from these two attributes.
+    `propagate_bloch` picks its route from these two attributes. `table` and
+    `reference_states` evaluate the fields and v*(t) over a whole grid.
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):
@@ -73,6 +74,7 @@ class ControlWaveform:
         self._func = func
         self._segments = None
         self._reference = None
+        self._tables = None
         self.t_end = None if t_end == math.inf else t_end
         self.breakpoints = tuple(sorted(breakpoints))
 
@@ -108,6 +110,23 @@ class ControlWaveform:
         if not np.all(np.isfinite(w0)):
             raise ValidationError(f"waveform fields at t = 0 must be finite, got {w0}")
         return self._func
+
+    def table(self, grid: np.ndarray) -> np.ndarray:
+        """(len(grid), 3) fields at the grid's times, all inside [0, t_end).
+
+        Call `unchecked()` first, as for the raw field function. A tracking
+        waveform evaluates its closed form over the whole grid at once, bit
+        for bit what the raw function gives; any other is called at each time.
+        """
+        if self._tables is not None:
+            return self._tables[0](grid)
+        return np.array([self._func(t) for t in grid.tolist()], dtype=float)
+
+    def reference_states(self, grid: np.ndarray) -> np.ndarray:
+        """(len(grid), 3) reference states v*(t) at the grid's times, as `table` does."""
+        if self._tables is not None:
+            return self._tables[1](grid)
+        return np.array([self._reference(t)[0] for t in grid.tolist()])
 
     @classmethod
     def zero(cls) -> "ControlWaveform":
@@ -187,8 +206,15 @@ class ControlWaveform:
         return waveform
 
     @classmethod
-    def _holding(cls, func, t_end, reference, breakpoints=()) -> "ControlWaveform":
-        """Closed-form fields built to hold the state `reference(t)[0]`, recorded as `reference`."""
+    def _holding(cls, func, t_end, reference, breakpoints=(),
+                 tables=None) -> "ControlWaveform":
+        """Closed-form fields built to hold the state `reference(t)[0]`, recorded as `reference`.
+
+        `tables`, if given, is a pair of functions of a time array that give
+        `table` and `reference_states` at once, bit for bit what `func` and
+        `reference` give one time at a time.
+        """
         waveform = cls(func, t_end, breakpoints)
         waveform._reference = reference
+        waveform._tables = tables
         return waveform

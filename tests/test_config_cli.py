@@ -196,6 +196,19 @@ class TestCLITrajectories:
         assert main(["--out-dir", str(tmp_path), "track", cfg]) == 2
         assert "no control is possible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["track", "fields"])
+    @pytest.mark.parametrize("vx", [0.0, 1e-3])
+    def test_underflowing_vz_squared_exits_2(self, tmp_path, capsys, command, vx):
+        # v_z(0)^2 = 1e-340 rounds to 0; at c = 0 the run used to end in a
+        # ZeroDivisionError traceback, at c > 0 in "t_end must be positive".
+        obj = dict(TRACK_CONFIG, initial_state={"vx": vx, "vy": vx, "vz": 1e-170},
+                   samples=11)
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), command, cfg]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: v_z(0)^2 underflows to 0 (v_z(0) = 1e-170): "
+            "no control is possible\n")
+
     def test_singular_state_feedback_start_exits_2(self, tmp_path, capsys):
         # Unequal x and y rates: the state-feedback route, where v_y = 0 makes
         # the denominator D1 = 2 v_y v_z vanish.
@@ -322,12 +335,12 @@ class TestCLISweepAndPlots:
             "output": "sweep.csv",
         })
         assert main(["--out-dir", str(tmp_path), "sweep", cfg]) == 0
-        header, rows, _ = read_csv_columns(tmp_path / "sweep.csv")
+        header, cells, _ = read_csv_columns(tmp_path / "sweep.csv")
         assert header == ["c", "p", "t_b"]
-        assert len(rows) == 16
-        for c, p, t_b in rows:
+        assert cells.shape == (16, 3)
+        for c, p, t_b in cells:
             if c > p:
-                assert t_b is None
+                assert math.isnan(t_b)
             else:
                 assert math.isclose(t_b, (p - c) / (0.2 * c), rel_tol=1e-15)
 
@@ -340,7 +353,7 @@ class TestCLISweepAndPlots:
             "output": "sweep.csv",
         })
         assert main(["--out-dir", str(tmp_path), "sweep", cfg]) == 0
-        assert read_csv_columns(tmp_path / "sweep.csv")[1] == [[0.2, 0.2, math.inf]]
+        assert read_csv_columns(tmp_path / "sweep.csv")[1].tolist() == [[0.2, 0.2, math.inf]]
 
     def test_plot_kinds(self, tmp_path):
         cfg = write_config(tmp_path, FREE_CONFIG)
@@ -400,9 +413,10 @@ class TestCLISweepAndPlots:
     def test_read_csv_columns_cells(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("c,p,t_b\n0.5,0.25,\n# note\n0.25,0.5,2\n", encoding="utf-8")
-        assert read_csv_columns(path) == (["c", "p", "t_b"],
-                                          [[0.5, 0.25, None], [0.25, 0.5, 2.0]],
-                                          [(3, "# note")])
+        header, cells, comments = read_csv_columns(path)
+        assert header == ["c", "p", "t_b"] and comments == [(3, "# note")]
+        assert np.array_equal(cells, [[0.5, 0.25, np.nan], [0.25, 0.5, 2.0]],
+                              equal_nan=True)
         path.write_text("c,p,t_b\n0.5,0.25,\n0.25,x,2\n", encoding="utf-8")
         with pytest.raises(ValidationError,
                            match="row 3: non-numeric value 'x' in column 'p'"):

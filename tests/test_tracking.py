@@ -19,6 +19,7 @@ from cohtrack.bloch import (
 from cohtrack.dynamics import (
     Termination,
     Trajectory,
+    _output_grid,
     propagate_bloch,
     purity_rate,
 )
@@ -243,6 +244,16 @@ class TestSimulateTracked:
         with pytest.raises(DomainError, match="no control is possible"):
             simulate_tracked(DEPHASING, eq, OMEGA0, t_max=1.0)
 
+    @pytest.mark.parametrize("vx", [0.0, 1e-3], ids=["c=0", "c>0"])
+    @pytest.mark.parametrize("omega_max", [None, 5.0])
+    def test_underflowing_vz_squared_rejected(self, no_solver, vx, omega_max):
+        # v_z(0)^2 = 1e-340 rounds to 0, so t_b = 0 and the closed form
+        # divides by sqrt(v_z(0)^2); it is refused as v_z(0) = 0 is.
+        v0 = CoherenceVector(vx, vx, 1e-170)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            simulate_tracked(DEPHASING, v0, OMEGA0, 10.0, omega_max=omega_max,
+                             n_samples=11)
+
     def test_non_finite_omega0_rejected_before_the_solver(self, no_solver):
         # Before the waveform check at t = 0 this run never returned.
         with pytest.raises(ValidationError, match="finite"):
@@ -380,6 +391,47 @@ class TestClipping:
         traj = simulate_tracked(DEPHASING, V0, OMEGA0, t_max=0.5 * t_clip,
                                 omega_max=omega_max)
         assert traj.termination.kind == "horizon"
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal arrays, down to the sign of each zero: the bytes a CSV would show."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestWholeGridTables:
+    """`table` and `reference_states` give what the per-time functions give, bit for bit."""
+
+    @given(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+           st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+           st.one_of(st.just(0.0), st.floats(-0.6, 0.6)),
+           st.one_of(st.just(0.0), st.floats(-0.6, 0.6)),
+           st.floats(0.05, 0.9), st.booleans(),
+           st.one_of(st.none(), st.floats(0.5, 20.0)),
+           st.floats(0.3, 1.5), st.integers(2, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_per_time_evaluation(self, gamma, omega0, vx, vy, vz, up,
+                                              level, span, n_samples):
+        if vx**2 + vy**2 + vz**2 > 1.0:
+            return
+        v0 = CoherenceVector(vx, vy, vz if up else -vz)
+        t_b = breakdown_time(v0, gamma)
+        omega_max = None
+        if level is not None:
+            # A level of 0.5 to 20 times the initial field (1 where it is 0).
+            start = max(map(abs, tracking_fields_dephasing(v0, gamma, omega0, 0.0)))
+            omega_max = level * (start or 1.0)
+        w = tracked_waveform(v0, gamma, omega0, omega_max)
+        t_max = span * (t_b if math.isfinite(t_b) else 10.0)
+        # The unclipped grid stops at the breakdown guard; the clipped one
+        # also holds t_b and the clamp times.
+        grid, _ = _output_grid(t_max, w.t_end, n_samples)
+        if w.t_end is None:
+            extra = [t for t in (t_b, *w.breakpoints) if t <= t_max]
+            grid = np.union1d(grid, extra)
+        fields = w.unchecked()
+        assert _same_bits(w.table(grid), np.array([fields(t) for t in grid.tolist()]))
+        want = np.array([w.reference(t)[0] for t in grid.tolist()])
+        assert _same_bits(w.reference_states(grid), want)
 
 
 class TestSingularityClassification:
