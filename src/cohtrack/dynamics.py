@@ -4,10 +4,13 @@ Two independent routes are provided: `propagate_bloch` integrates the affine
 coherence-vector ODE dv/dt = (m0 + M(t)) v + k, while `propagate_density`
 integrates the density-matrix master equation and converts the samples to
 Bloch coordinates. The density route serves as the oracle for the Bloch route.
-Under piecewise-constant fields the Bloch route steps exactly, one matrix
-exponential per step; under tracking fields, clipped or not, it integrates
-the deviation from the reference state they carry (Encke's method); the
-density route stays on the adaptive integrator.
+The Bloch route runs one sequence: RK45 up to the first time from which the
+fields are piecewise constant, on the deviation from the reference state
+that tracking fields carry (Encke's method), then exact steps, one matrix
+exponential per step, from the state reached there. A piecewise-constant
+waveform is all exact steps, an unclipped tracking waveform all RK45, and a
+clipped one takes RK45 up to its last clamp and exact steps on its
+saturated tail. The density route stays on the adaptive integrator.
 
 hbar = 1 throughout; rates and frequencies share inverse-time units.
 """
@@ -190,17 +193,18 @@ def _bloch_rhs(ch: BlochChannel, fields):
     return rhs
 
 
-def _exact_steps(ch: BlochChannel, segments, v0: np.ndarray,
+def _exact_steps(ch: BlochChannel, segments, t0: float, v0: np.ndarray,
                  grid: np.ndarray) -> np.ndarray:
     """Samples on the grid of dv/dt = (m0 + M) v + k under piecewise-constant fields.
 
-    Steps run between the sorted union of the grid and the segment starts
-    inside it, so the fields are constant on each. A step of length dt is
-    the exponential of dt [[0, 0], [k, m0 + M]] acting on (1, v) (Van Loan,
-    IEEE TAC 1978); all steps go to one batched `expm` call.
+    The state is v0 at t0 <= grid[0], and the segments hold from t0 on.
+    Steps run between the sorted union of t0, the grid and the segment
+    starts inside it, so the fields are constant on each. A step of length
+    dt is the exponential of dt [[0, 0], [k, m0 + M]] acting on (1, v) (Van
+    Loan, IEEE TAC 1978); all steps go to one batched `expm` call.
     """
     starts, triples = segments
-    times = np.union1d(grid, [s for s in starts if grid[0] < s < grid[-1]])
+    times = np.union1d([t0, *grid], [s for s in starts if t0 < s < grid[-1]])
     fields = np.array([triples[segment_index(starts, t)] for t in times[:-1].tolist()])
     gen = np.zeros((len(fields), 4, 4))
     gen[:, 1:, 0] = ch.k
@@ -295,15 +299,15 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
                     n_samples: int = 501) -> Trajectory:
     """Integrate dv/dt = (m0 + M(t)) v + k on a uniform output grid.
 
-    The waveform picks one of three routes:
-    - with `segments` (piecewise constant, constant or zero), exact steps,
-      one matrix exponential per step between grid points and segment
-      starts; `cfg.rtol` then only sets the 1 + 10*rtol cap of the Bloch
-      ball below;
-    - with a `reference` v*(t) (a tracking waveform, clipped or not), RK45
-      at `cfg` on the deviation e = v - v*(t), and the samples are v* + e;
-      `atol` then bounds the deviation's local error;
-    - any other, RK45 at `cfg` on v.
+    RK45 at `cfg` runs up to the first start of the waveform's `segments`
+    (all the way without them): on the deviation e = v - v*(t) for a
+    waveform with a `reference` v*(t), reporting v* + e, so that `atol`
+    bounds the deviation's local error, and on v otherwise. From that start
+    on, exact steps, one matrix exponential per step between grid points
+    and segment starts, carry the state reached there. So a
+    piecewise-constant waveform is all exact steps (`cfg.rtol` then only
+    sets the 1 + 10*rtol cap below), and a clipped tracking waveform takes
+    RK45 up to its last clamp and exact steps on its saturated tail.
 
     A waveform with a declared domain end below t_max yields a trajectory
     terminating with `breakdown` at that end. A state leaving the Bloch ball
@@ -313,13 +317,22 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     cfg = cfg or IntegratorConfig()
     grid, end = _output_grid(t_max, w.t_end, n_samples)
     fields = w.unchecked()   # every time below lies in [0, grid[-1]]
-    if w.segments is not None:
-        ys, n_ok = _exact_steps(ch, w.segments, v0.as_array(), grid), len(grid)
-    elif w.reference is not None:
-        ys, n_ok = _deviation_steps(ch, w, fields, v0.as_array(), grid, cfg)
-    else:
-        ys, n_ok = _integrate(_bloch_rhs(ch, fields), v0.as_array(), grid, cfg,
-                              w.breakpoints)
+    hold = w.segments[0][0] if w.segments is not None else math.inf
+    # RK45 samples grid[:split], the times before `hold`; exact steps the rest.
+    split = len(grid) if hold >= grid[-1] else int(np.searchsorted(grid, hold))
+    ys, n_ok, v = np.full((len(grid), 3), np.nan), 0, v0.as_array()
+    if split:
+        head = grid if split == len(grid) else np.append(grid[:split], hold)
+        if w.reference is not None:
+            vs, n_ok = _deviation_steps(ch, w, fields, v, head, cfg)
+        else:
+            vs, n_ok = _integrate(_bloch_rhs(ch, fields), v, head, cfg, w.breakpoints)
+        ys[:split], v = vs[:split], vs[-1]
+    if split < len(grid):
+        # A head that stopped short left v NaN, and the run ends `invalid`
+        # at the first sample it did not reach.
+        ys[split:] = _exact_steps(ch, w.segments, max(hold, grid[0]), v, grid[split:])
+        n_ok = len(grid)
     return _trajectory(grid, ys, n_ok, cfg, end, lambda g, _: w.table(g))
 
 

@@ -280,8 +280,16 @@ def _heat_rgb(u: np.ndarray) -> np.ndarray:
 
 
 def _plot_surface(path):
-    header, data, _ = read_csv_columns(path)
+    header, data, comments = read_csv_columns(path)
     cs, ps, tb = (_column(header, data, name, path) for name in ("c", "p", "t_b"))
+    bad = np.flatnonzero(tb < 0)   # an empty cell, NaN, compares false
+    if len(bad):
+        # Data rows are the non-blank lines after the header that are not comments.
+        taken = {i for i, _ in comments}
+        rows = [i for i in range(2, 2 + len(tb) + len(comments)) if i not in taken]
+        i = int(bad[0])
+        raise ValidationError(f"{path}: row {rows[i]}: negative breakdown time "
+                              f"{float(tb[i])!r} in column 't_b'")
     canvas = _Canvas("c", "p")
     canvas.set_ranges(cs, ps)
     keep = np.isfinite(tb)

@@ -207,46 +207,50 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                      omega_max: float | None = None) -> ControlWaveform:
     """Closed-form tracking waveform for a pure-dephasing channel.
 
-    Each in-plane field is clamped to +-omega_max (no level: inf), and the
-    clamp times are breakpoints. Without a level the waveform ends at t_b;
-    with one, each field saturates from t_b on. Its `reference` is the state
-    the fields hold, v*(t) = (v_x(0), v_y(0), v_z(t)), and its rate, up to
-    the first clamp (t_b without a level); from there v* stays put.
+    Each in-plane field is clamped to +-omega_max, and the clamp times are
+    breakpoints. Without a level the waveform ends at t_b. With one, every
+    field is constant from T on, the last clamp of a nonzero numerator (0 if
+    both numerators are 0): (omega0, +-omega_max or 0, +-omega_max or 0),
+    the one segment of `segments`, which starts at T. T lies before t_b, so
+    no field is evaluated from t_b on.
+    Its `reference` is the state the fields hold, v*(t) = (v_x(0), v_y(0),
+    v_z(t)), and its rate, the same with or without a level; it is defined
+    before t_b, and `propagate_bloch` uses it up to T.
     """
     terms = _dephasing_terms(v0, gamma, omega0)
     level = math.inf if omega_max is None else omega_max
+    nums = (terms.num1, terms.num2)
     clamps = _clip_times(terms, level)
-    t_hold = min(clamps)
-    # From t_b on the fields have diverged: each is held at the level, or at 0.
-    diverged = tuple(math.copysign(level, num) if num else 0.0
-                     for num in (terms.num1, terms.num2))
+    t_hold = math.inf
+    if omega_max is not None:
+        t_hold = max((t for t, num in zip(clamps, nums) if num), default=0.0)
+        # A level so high that the clamp rounds to t_b: step back to where
+        # v_z, and so the reference's rate, is still nonzero.
+        while terms.radicand(t_hold) <= 0.0:
+            t_hold = math.nextafter(t_hold, 0.0)
+    # A zero numerator keeps its field at num / |v_z|, a zero of num's sign.
+    held = (omega0, *(math.copysign(level, num) if num else num for num in nums))
 
     def fields(t):
-        try:
-            w1, w2 = terms.fields(t)
-        except PastBreakdownError:
-            return (omega0, *diverged)
+        if t >= t_hold:
+            return held
+        w1, w2 = terms.fields(t)
         return (omega0, w1 if abs(w1) <= level else math.copysign(level, w1),
                 w2 if abs(w2) <= level else math.copysign(level, w2))
 
     def fields_on(ts):
         # `fields` at every time at once: the same divisions and clamps.
-        radicand = terms.radicand(ts)
-        live = radicand > 0.0
-        denom = np.sqrt(np.where(live, radicand, 1.0))
+        head = ts < t_hold
+        denom = np.sqrt(np.where(head, terms.radicand(ts), 1.0))
         table = np.empty((len(ts), 3))
         table[:, 0] = omega0
-        for j, num, held in ((1, terms.num1, diverged[0]), (2, terms.num2, diverged[1])):
-            w = np.where(live, num / denom, held)
-            table[:, j] = np.where(np.abs(w) <= level, w, np.copysign(level, w))
+        for j, num in ((1, terms.num1), (2, terms.num2)):
+            w = num / denom
+            table[:, j] = np.where(head, np.where(np.abs(w) <= level, w,
+                                                  np.copysign(level, w)), held[j])
         return table
 
-    vz_hold = terms.vz(t_hold)
-    frozen = (np.array([v0.vx, v0.vy, vz_hold]), np.zeros(3))
-
     def reference(t):
-        if t >= t_hold:
-            return frozen
         # v* = (v_x0, v_y0, v_z(t)) and dv*/dt = (0, 0, -gamma c / v_z(t)).
         vz = terms.vz(t)
         return (np.array([v0.vx, v0.vy, vz]),
@@ -256,12 +260,14 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
         # `reference(t)[0]` at every time at once.
         states = np.empty((len(ts), 3))
         states[:, :2] = v0.vx, v0.vy
-        states[:, 2] = np.where(ts >= t_hold, vz_hold, terms.vz_on(ts))
+        states[:, 2] = terms.vz_on(ts)
         return states
 
     t_end = terms.t_b if omega_max is None else None
     kinks = [t for t in clamps if 0.0 < t < terms.t_b]
-    return ControlWaveform._holding(fields, t_end, reference, kinks, (fields_on, states_on))
+    tail = ((t_hold,), (held,)) if t_hold < math.inf else None
+    return ControlWaveform._holding(fields, t_end, reference, kinks,
+                                    (fields_on, states_on), tail)
 
 
 def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]:

@@ -5,9 +5,10 @@ interpolation, a closed-form rule defined only up to a breakdown time, or a
 piecewise concatenation of segments. Waveforms evaluate to a (3,) float array
 and carry an optional end of domain `t_end` plus `breakpoints` at which the
 fields may be discontinuous (integrators split there). Piecewise-constant
-waveforms also carry their `segments`, from which `propagate_bloch` steps
-exactly, and a tracking waveform, clipped or not, carries the `reference`
-state its fields hold, from which `propagate_bloch` integrates the deviation.
+waveforms carry their `segments`, from which `propagate_bloch` steps
+exactly; a tracking waveform carries the `reference` state its fields hold,
+from which `propagate_bloch` integrates the deviation, and a clipped one
+also carries its saturated tail as `segments` that start at its last clamp.
 
 Calling a waveform checks the time against its domain and the shape of the
 fields. Integrators and field tables, which only evaluate inside
@@ -54,18 +55,21 @@ class ControlWaveform:
     Attributes
     ----------
     segments : tuple or None
-        `(starts, triples)` of a waveform built by `piecewise_constant`,
-        `constant` or `zero`: the sorted segment start times and the field
-        triple held on each, looked up with `segment_index`. None for every
-        other waveform, whose fields are known only through `func`.
+        `(starts, triples)`: sorted start times and the field triple held
+        from each, looked up with `segment_index`; from starts[0] on the
+        fields are these alone. `piecewise_constant`, `constant` and `zero`
+        hold from starts[0] <= 0; a clipped `tracking.tracked_waveform`
+        holds one triple from its last clamp on. None for every other
+        waveform.
     reference : callable or None
-        `t -> (v*(t), dv*/dt(t))`, two (3,) arrays, defined where the fields
-        are: for a `tracking.tracked_waveform`, the state its fields hold up
-        to the first clamp, and from there that state at rest. None for
+        `t -> (v*(t), dv*/dt(t))`, two (3,) arrays, defined before t_b: for
+        a `tracking.tracked_waveform`, the state its fields hold. None for
         every other waveform.
 
-    `propagate_bloch` picks its route from these two attributes. `table` and
-    `reference_states` evaluate the fields and v*(t) over a whole grid.
+    `propagate_bloch` runs RK45 before the first start of `segments`, on the
+    deviation from `reference` if there is one, and exact steps from there.
+    `table` and `reference_states` evaluate the fields and v*(t) over a
+    whole grid.
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):
@@ -197,24 +201,30 @@ class ControlWaveform:
 
     @classmethod
     def _held(cls, starts, triples) -> "ControlWaveform":
-        """Fields triples[i] held from starts[i] on, recorded as `segments`."""
+        """Fields triples[i] held from starts[i] on, recorded as `segments`.
+
+        The first segment also holds before its start, so the recorded first
+        start is moved to 0 if it lies later.
+        """
         def step(s):
             return triples[segment_index(starts, s)]
 
         waveform = cls(step, breakpoints=starts[1:])
-        waveform._segments = (starts, triples)
+        waveform._segments = ((min(starts[0], 0.0), *starts[1:]), triples)
         return waveform
 
     @classmethod
-    def _holding(cls, func, t_end, reference, breakpoints=(),
-                 tables=None) -> "ControlWaveform":
+    def _holding(cls, func, t_end, reference, breakpoints=(), tables=None,
+                 tail=None) -> "ControlWaveform":
         """Closed-form fields built to hold the state `reference(t)[0]`, recorded as `reference`.
 
         `tables`, if given, is a pair of functions of a time array that give
         `table` and `reference_states` at once, bit for bit what `func` and
-        `reference` give one time at a time.
+        `reference` give one time at a time. `tail`, if given, is the
+        `segments` on which `func` is constant from their first start on.
         """
         waveform = cls(func, t_end, breakpoints)
+        waveform._segments = tail
         waveform._reference = reference
         waveform._tables = tables
         return waveform

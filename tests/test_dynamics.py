@@ -261,6 +261,19 @@ class TestPropagateBloch:
                 assert np.array_equal(traj.omega, clean.omega[:kept])
 
 
+    def test_a_head_that_stops_short_ends_the_run_there(self):
+        # RK45 stops at the NaN fields from t = 0.45, before the held tail
+        # from 1.5 on: the run ends `invalid` at the first grid point it did
+        # not reach, and keeps the samples before it.
+        fields = (1.0, 0.5, -0.3)
+        w = ControlWaveform._holding(
+            lambda t: fields if t < 0.45 or t >= 1.5 else (math.nan,) * 3, None, None,
+            tail=((1.5,), (fields,)))
+        traj = propagate_bloch(BlochChannel.dephasing(0.1), w, V0, 2.0, n_samples=21)
+        assert traj.termination.label() == "invalid:t=0.5"
+        assert len(traj.t) == 5 and np.all(np.isfinite(traj.v))
+
+
 def _random_channel(rng, unital=False) -> BlochChannel:
     g = rng.normal(size=(3, 3)) + (0.0 if unital else 1j * rng.normal(size=(3, 3)))
     return gks_to_channel(GKSMatrix((0.1 * g @ g.conj().T).astype(complex)))[1]
@@ -423,17 +436,19 @@ class TestDeviationRoute:
         assert np.array_equal(got.t, want.t)
         assert np.max(np.abs(got.v - want.v)) <= 1e-8
 
-    def test_a_clipped_reference_stops_at_the_first_clamp(self):
+    def test_a_clipped_reference_is_the_unclipped_one_before_its_tail(self):
         plain = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
         clipped = tracked_waveform(V0, self.GAMMA, self.OMEGA0, omega_max=5.0)
-        first = clipped.breakpoints[0]
-        for t in np.linspace(0.0, first, 5, endpoint=False).tolist():
+        # The held tail starts at the last clamp, before t_b.
+        t_hold = clipped.breakpoints[-1]
+        assert plain.segments is None
+        assert clipped.segments[0] == (t_hold,) and t_hold < plain.t_end
+        head = np.linspace(0.0, t_hold, 9, endpoint=False)
+        for t in head.tolist():
             for got, want in zip(clipped.reference(t), plain.reference(t)):
-                assert np.array_equal(got, want)
-        for t in (first, 0.5 * (first + plain.t_end), 2.0 * plain.t_end):
-            state, rate = clipped.reference(t)
-            assert np.array_equal(state, plain.reference(first)[0])
-            assert not np.any(rate)
+                assert got.tobytes() == want.tobytes()
+        assert (clipped.reference_states(head).tobytes()
+                == plain.reference_states(head).tobytes())
 
     def test_other_waveforms_have_no_reference(self):
         t = np.linspace(0.0, 2.0, 5)
@@ -521,6 +536,38 @@ class TestRouteAgreement:
         assert not np.any(deviation.omega[:, 1])
         past = deviation.t >= t_b
         assert np.sum(past) >= 3 and np.all(deviation.omega[past, 2] == -3.0)
+
+    # Clipped runs that reach the saturated tail: (gamma, v0, omega0, absolute
+    # level, t_max). RK45 runs up to the last clamp T, exact steps from there.
+    TAIL_CASES = {
+        # Both numerators nonzero, past t_b = 8.33.
+        "both-fields": (0.1, V0, 4.0, 5.0, 11.0),
+        # omega0 v_x = gamma v_y: omega1 is 0 throughout; t_b = 1.152.
+        "one-field-zero": (0.5, CoherenceVector(0.25, 0.5, 0.6), 1.0, 3.0, 1.5),
+        # A level below both initial fields (2.15, -2.26): T = 0.
+        "clamped-from-the-start": (0.1, V0, 4.0, 2.0, 11.0),
+        # gamma = 0: constant fields 2.21, -2.21, above the level; T = 0.
+        "no-dephasing": (0.0, V0, 4.0, 1.5, 5.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TAIL_CASES))
+    def test_clipped_runs_through_the_saturated_tail(self, case):
+        gamma, v0, omega0, level, t_max = self.TAIL_CASES[case]
+        a = GKSMatrix(np.diag([0.0, 0.0, gamma / 2.0]).astype(complex))
+        ch = gks_to_channel(a)[1]
+        w = tracked_waveform(v0, gamma, omega0, level)
+        (t_hold,), _ = w.segments
+        assert t_hold < 0.8 * t_max
+        assert (t_hold == 0.0) == (case in ("clamped-from-the-start", "no-dephasing"))
+        route = propagate_bloch(ch, w, v0, t_max, n_samples=23)
+        rk45 = propagate_bloch(ch, _direct(w), v0, t_max, n_samples=23)
+        density = propagate_density(a, w, bloch_to_density(v0), t_max, n_samples=23)
+        for other in (rk45, density):
+            assert other.termination == route.termination == Termination("horizon")
+            assert np.array_equal(other.t, route.t)
+            assert np.max(np.abs(other.v - route.v)) <= 1e-8
+            assert np.array_equal(other.omega, route.omega)
+
 
 
 class TestPropagateDensity:

@@ -43,6 +43,14 @@ integrates its deviation from that state. Its v columns now lie within
 They moved from the old bytes by at most 6.5e-11 in v and 3.5e-11 in p and
 c; the times, the fields and the comment lines did not move. Every other
 hash held, `fields_clipped.csv` and `trajectory.svg` included.
+
+`track_clipped.csv` was re-pinned a third time when the clipped run began
+to integrate its deviation from the unclipped reference up to the last
+clamp, and to take exact matrix-exponential steps on the saturated tail
+from there. Its v columns now lie within 1.9e-11 of the rtol-1e-13 run
+(before: 7.3e-11). They moved from the old bytes by at most 8.4e-11 in v
+and 2.3e-11 in p and c; the times, the fields and the comment lines did not
+move. Every other hash held.
 """
 
 import hashlib
@@ -51,6 +59,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+
+from cohtrack import dynamics
 
 from cohtrack.bloch import (
     BlochChannel,
@@ -67,7 +78,7 @@ from cohtrack.dynamics import (
     propagate_bloch,
     propagate_density,
 )
-from cohtrack.tracking import tracked_waveform, vz_tracked
+from cohtrack.tracking import simulate_tracked, tracked_waveform, vz_tracked
 from cohtrack.waveform import ControlWaveform
 
 TRACK = {
@@ -112,7 +123,7 @@ GOLDEN = {
     "surface.svg": "df368b16e664010a424c5ab8b79c52540b6595148e58b74a0e4321c16cac28a1",
     "sweep.csv": "affc85baad4b14b47f52f1f8e0dee44a7b6117754e1c7b9a42d6e1581cb4ca38",
     "track.csv": "30061d0debd9ddf6eb667540259c0c386e9866500ac240d3c2c703c96c596fa9",
-    "track_clipped.csv": "78780f3f3b8c2cffad5650310c199b66689cb225d2014497955e9dd0be316943",
+    "track_clipped.csv": "f33e5c6e0505db3a15be1092b43bc4f3366dc428612deebdd2c6ce60bdffa540",
     "track_feedback.csv": "56312b988c6808f4866e85ed7863628ebda5d5fc71fa7d3f7fb0341acd47343a",
     "trajectory.svg": "a9e3a00912b25031fde83cdcb8df7e75822a05b36dbc0bb736160cad7dad78ee",
 }
@@ -181,6 +192,27 @@ def test_clipped_track_samples_match_a_tight_run(outputs):
                           w.breakpoints)
     assert n_ok == len(rows)
     assert np.max(np.abs(rows[:, 1:4] - ys)) <= 3e-10
+
+
+def test_clipped_track_runs_no_solver_past_the_last_clamp(monkeypatch):
+    spans = []
+
+    def recording_solve_ivp(fun, t_span, *args, **kwargs):
+        spans.append(tuple(t_span))
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", recording_solve_ivp)
+    gamma, control = TRACK_CLIPPED["channel"]["gamma"], TRACK_CLIPPED["control"]
+    v0 = CoherenceVector(**TRACK_CLIPPED["initial_state"])
+    traj = simulate_tracked(BlochChannel.dephasing(gamma), v0, control["omega0"],
+                            TRACK_CLIPPED["t_max"], control["omega_max"],
+                            TRACK_CLIPPED["samples"])
+    (t_hold,), _ = tracked_waveform(v0, gamma, control["omega0"],
+                                    control["omega_max"]).segments
+    assert traj.t[-1] == TRACK_CLIPPED["t_max"] > t_hold
+    # One solver run up to each clamp, the last ending at the tail's start.
+    assert len(spans) == 2 and spans[-1][1] == t_hold
+    assert all(b <= t_hold for _, b in spans)
 
 
 PIECEWISE_GKS = GKSMatrix(np.array([[0.04, 0.01 - 0.02j, 0.0],

@@ -8,6 +8,7 @@ the column-at-a-time code must give the same bytes.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -88,3 +89,21 @@ def test_reader_blocks_give_the_row_by_row_values(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_csv_columns(path)
     assert str(err.value) == f"{path}: row 3002: non-numeric value '3x' in column 't_b'"
+
+
+@pytest.mark.parametrize("cells, row", [((-1, 1, 2), 2), ((-3, 1, 2), 2),
+                                        ((1, 2, -1), 5), ((1, -np.inf, 2), 3)])
+def test_negative_breakdown_time_is_refused_before_colouring(tmp_path, capsys, cells,
+                                                             row):
+    # t_b cells in three rows, a comment line and a blank line among them.
+    csv, svg = tmp_path / "neg.csv", tmp_path / "neg.svg"
+    first, second, third = cells
+    csv.write_text(f"c,p,t_b\n0.1,0.5,{first}\n0.2,0.5,{second}\n# note\n\n"
+                   f"0.3,0.5,{third}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plot", str(csv), "--kind", "surface", "-o", str(svg)]) == 1
+    bad = [c for c in cells if c < 0][0]
+    assert capsys.readouterr().err == (f"error: {csv}: row {row}: negative breakdown "
+                                       f"time {float(bad)!r} in column 't_b'\n")
+    assert not svg.exists()

@@ -385,6 +385,41 @@ class TestClipping:
         assert abs(late[1]) == 3.0
         assert abs(late[2]) == 3.0
 
+    def test_saturated_tail_is_held_without_reaching_breakdown(self, monkeypatch):
+        # Past the last clamp T every field is constant: no evaluation of the
+        # clipped waveform reaches the closed form at or past t_b.
+        raised = []
+        init = PastBreakdownError.__init__
+
+        def recording_init(self, t, t_b):
+            raised.append(t)
+            init(self, t, t_b)
+
+        monkeypatch.setattr(PastBreakdownError, "__init__", recording_init)
+        omega_max = 5.0
+        traj = simulate_tracked(DEPHASING, V0, OMEGA0, t_max=1.25 * T_B,
+                                omega_max=omega_max, n_samples=301)
+        assert traj.termination.kind == "clipped" and traj.t[-1] > 1.2 * T_B
+        w = tracked_waveform(V0, GAMMA, OMEGA0, omega_max)
+        (t_hold,), (held,) = w.segments
+        assert t_hold == w.breakpoints[-1] < T_B
+        grid = np.union1d(np.linspace(t_hold, 1.3 * T_B, 201), [T_B])
+        fields = w.unchecked()
+        want = np.tile(held, (len(grid), 1))
+        assert _same_bits(w.table(grid), want)
+        assert _same_bits(np.array([fields(t) for t in grid.tolist()]), want)
+        assert held == (OMEGA0, math.copysign(omega_max, w(0.0)[1]),
+                        math.copysign(omega_max, w(0.0)[2]))
+        assert raised == []
+
+    def test_a_zero_field_keeps_its_sign_in_the_tail(self):
+        # omega0 v_x = gamma v_y with v_z < 0: omega1 is -0.0 all along, from
+        # the closed form before the tail and from the held triple after it.
+        w = tracked_waveform(CoherenceVector(0.25, 0.5, -0.6), 0.5, 1.0, 3.0)
+        (t_hold,), _ = w.segments
+        omega1 = w.table(np.linspace(0.0, 2.0 * t_hold, 9))[:, 1]
+        assert not np.any(omega1) and np.all(np.signbit(omega1))
+
     def test_unclipped_horizon_before_clip(self):
         omega_max = 5.0
         t_clip = clip_time(V0, GAMMA, OMEGA0, omega_max)
@@ -430,8 +465,10 @@ class TestWholeGridTables:
             grid = np.union1d(grid, extra)
         fields = w.unchecked()
         assert _same_bits(w.table(grid), np.array([fields(t) for t in grid.tolist()]))
-        want = np.array([w.reference(t)[0] for t in grid.tolist()])
-        assert _same_bits(w.reference_states(grid), want)
+        # The reference is used, and compared, before the saturated tail.
+        head = grid[grid < (w.segments[0][0] if w.segments else math.inf)]
+        want = np.array([w.reference(t)[0] for t in head.tolist()]).reshape(-1, 3)
+        assert _same_bits(w.reference_states(head), want)
 
 
 class TestSingularityClassification:
