@@ -5,9 +5,12 @@ coherence-vector ODE dv/dt = (m0 + M(t)) v + k, while `propagate_density`
 integrates the density-matrix master equation and converts the samples to
 Bloch coordinates. The density route serves as the oracle for the Bloch route.
 The Bloch route runs one sequence: RK45 up to the first time from which the
-fields are piecewise constant, on the deviation from the reference state
-that tracking fields carry (Encke's method), then exact steps, one matrix
-exponential per step, from the state reached there. A piecewise-constant
+fields are piecewise constant, then exact steps, one matrix exponential per
+step, from the state reached there. For a tracking waveform RK45 integrates
+the deviation from the reference state its fields hold (Encke's method), in
+the variable its `Reference` maps time to, w = |v_z*(t)| for tracked
+dephasing runs (a Sundman-type change of time), in which the fields scaled
+by dt/dw stay bounded up to the breakdown time. A piecewise-constant
 waveform is all exact steps, an unclipped tracking waveform all RK45, and a
 clipped one takes RK45 up to its last clamp and exact steps on its
 saturated tail. The density route stays on the adaptive integrator.
@@ -37,7 +40,7 @@ from .bloch import (
 )
 from .errors import DomainError, ValidationError
 from .svgplot import read_csv_columns, write_table
-from .waveform import ControlWaveform, segment_index
+from .waveform import ControlWaveform, Reference, segment_index
 
 BREAKDOWN_GUARD = 1e-6   # a run stops sampling t_end * guard short of a domain end
 
@@ -209,39 +212,54 @@ def _exact_steps(ch: BlochChannel, segments, t0: float, v0: np.ndarray,
     gen = np.zeros((len(fields), 4, 4))
     gen[:, 1:, 0] = ch.k
     gen[:, 1:, 1:] = ch.m0 + np.tensordot(fields, LAMBDAS, axes=1)
-    steps = expm(gen * np.diff(times)[:, None, None])
     x = np.concatenate([[1.0], v0])
     xs = [x]
-    for step in steps:
-        x = step @ x
-        xs.append(x)
+    # A step whose fields times its length is far beyond 1/eps is no longer
+    # accurate and may overflow; the run then ends `invalid` at that sample.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = expm(gen * np.diff(times)[:, None, None])
+        for step in steps:
+            x = step @ x
+            xs.append(x)
     return np.array(xs)[np.searchsorted(times, grid), 1:]
 
 
-def _deviation_steps(ch: BlochChannel, w: ControlWaveform, fields, v0: np.ndarray,
-                     grid: np.ndarray, cfg: IntegratorConfig):
-    """RK45 samples of v = v*(t) + e on the grid, integrating the deviation e.
+def _deviation_steps(ch: BlochChannel, ref: Reference, v0: np.ndarray,
+                     cfg: IntegratorConfig):
+    """RK45 samples of v = v*(sigma) + e at `ref.sigma`, integrating the deviation e.
 
-    `fields` is `w.unchecked()`, and `w.reference(t)` gives the reference
-    state v*(t) and its rate; e obeys
-    de/dt = f(t, v* + e) - dv*/dt with e(0) = v0 - v*(0), an exact change of
-    variable for any reference (Encke's method; Battin, AIAA 1999). When v*
-    is what the fields hold, e stays small and smooth, so the steps are no
-    longer limited by the rotation the fields drive. The right-hand side
-    evaluates the fields and v* one time at a time, with scalar arithmetic;
-    v* on the output grid comes from `w.reference_states`, one array
-    evaluation for the whole grid. Returns (ys, n_ok) as `_integrate` does.
+    With v*(sigma) = origin + sigma slope and the drive (dt/dsigma, omega_j
+    dt/dsigma) of `ref`, e obeys de/dsigma = dt/dsigma (m0 v + k) + M v -
+    slope, M built from the scaled fields, with e = v0 - v*(sigma_0) at the
+    first of `ref.sigma`: an exact change of variable for any reference
+    (Encke's method; Battin, AIAA 1999) and any monotone map of time
+    (Sundman's; Stiefel and Scheifele, 1971). When v* is what the fields
+    hold, e stays small and smooth, so the steps are no longer limited by
+    the rotation the fields drive, and in a variable where the scaled fields
+    stay bounded they are not limited by a divergence at t_b either. The
+    right-hand side is scalar arithmetic on the entries of m0 and k.
+    Returns (ys, n_ok) as `_integrate` does.
     """
-    rhs = _bloch_rhs(ch, fields)
-    reference = w.reference
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = ch.m0.tolist()
+    k0, k1, k2 = ch.k.tolist()
+    (p0, p1, p2), (q0, q1, q2), drive = ref.origin, ref.slope, ref.drive
 
-    def deviation_rhs(t, e):
-        state, rate = reference(t)
-        return rhs(t, state + e) - rate
+    def rhs(s, e):
+        s = float(s)   # RK45's stage times are numpy scalars, slower in arithmetic
+        dt, w0, w1, w2 = drive(s)
+        e0, e1, e2 = e.tolist()
+        x, y, z = p0 + s * q0 + e0, p1 + s * q1 + e1, p2 + s * q2 + e2
+        return np.array([dt * (m00 * x + m01 * y + m02 * z + k0) - w0 * y - w2 * z - q0,
+                         dt * (m10 * x + m11 * y + m12 * z + k1) + w0 * x - w1 * z - q1,
+                         dt * (m20 * x + m21 * y + m22 * z + k2) + w2 * x + w1 * y - q2])
 
-    es, n_ok = _integrate(deviation_rhs, v0 - reference(grid[0])[0], grid, cfg,
-                          w.breakpoints)
-    return es + w.reference_states(grid), n_ok
+    states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
+    # Between two clamp kinks at a level near the float range the drive
+    # varies by more than that range per unit sigma, and scipy's initial-step
+    # estimate overflows; the solver then starts from its smallest step.
+    with np.errstate(over="ignore"):
+        es, n_ok = _integrate(rhs, v0 - states[0], ref.sigma, cfg, ref.breakpoints)
+    return es + states, n_ok
 
 
 def _output_grid(t_max: float, t_end: float | None,
@@ -300,11 +318,12 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     """Integrate dv/dt = (m0 + M(t)) v + k on a uniform output grid.
 
     RK45 at `cfg` runs up to the first start of the waveform's `segments`
-    (all the way without them): on the deviation e = v - v*(t) for a
-    waveform with a `reference` v*(t), reporting v* + e, so that `atol`
-    bounds the deviation's local error, and on v otherwise. From that start
-    on, exact steps, one matrix exponential per step between grid points
-    and segment starts, carry the state reached there. So a
+    (all the way without them): for a waveform with a `reference`, on the
+    deviation e = v - v*(sigma) in the reference's variable sigma, reporting
+    v* + e at the grid's sigma, so that `atol` bounds the deviation's local
+    error; on v in t otherwise. From that start on, exact steps, one matrix
+    exponential per step between grid points and segment starts, carry the
+    state reached there. So a
     piecewise-constant waveform is all exact steps (`cfg.rtol` then only
     sets the 1 + 10*rtol cap below), and a clipped tracking waveform takes
     RK45 up to its last clamp and exact steps on its saturated tail.
@@ -324,7 +343,7 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     if split:
         head = grid if split == len(grid) else np.append(grid[:split], hold)
         if w.reference is not None:
-            vs, n_ok = _deviation_steps(ch, w, fields, v, head, cfg)
+            vs, n_ok = _deviation_steps(ch, w.reference(head), v, cfg)
         else:
             vs, n_ok = _integrate(_bloch_rhs(ch, fields), v, head, cfg, w.breakpoints)
         ys[:split], v = vs[:split], vs[-1]

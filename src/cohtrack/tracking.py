@@ -4,7 +4,10 @@ The controller keeps the in-plane components of the Bloch vector fixed at
 their initial values (a linearization of the constant-coherence objective).
 For pure dephasing this has a closed form: v_z(t) = s sqrt(v_z(0)^2 - 2 gamma c t)
 with breakdown at t_b = v_z(0)^2 / (2 gamma c), where the synthesized fields
-diverge like (t_b - t)^(-1/2).
+diverge like (t_b - t)^(-1/2). In w = |v_z(t)| instead of t, with
+dt/dw = -w / (gamma c), the held state is linear and the fields times
+dt/dw are bounded up to t_b; the tracking waveform records that map and its
+fields in w, and tracked runs integrate in w.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .dynamics import (
 )
 from .equivalence import _z_dephasing_rate
 from .errors import DomainError, PastBreakdownError, SingularPointError
-from .waveform import ControlWaveform
+from .waveform import ControlWaveform, Reference
 
 # Objective matrices: S1 = v^t O1 v = v_x^2, S2 = v^t O2 v = v_y^2.
 # They commute with their paired generator: [O1, L1] = [O2, L2] = 0.
@@ -86,7 +89,7 @@ class _DephasingTerms:
     and omega_i(t) = num_i / sqrt(radicand(t)), the sign folded into num_i.
     `radicand` and `vz` take any time; `denominator` and `fields` refuse
     times where the radicand is not positive, from t_b on. `radicand` also
-    takes a time array, and `vz_on` is `vz` over one.
+    takes a time array.
     """
 
     sign: float
@@ -101,9 +104,6 @@ class _DephasingTerms:
 
     def vz(self, t: float) -> float:
         return self.sign * math.sqrt(max(0.0, self.radicand(t)))
-
-    def vz_on(self, ts: np.ndarray) -> np.ndarray:
-        return self.sign * np.sqrt(np.maximum(0.0, self.radicand(ts)))
 
     def denominator(self, t: float) -> float:
         radicand = self.radicand(t)
@@ -212,20 +212,37 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     field is constant from T on, the last clamp of a nonzero numerator (0 if
     both numerators are 0): (omega0, +-omega_max or 0, +-omega_max or 0),
     the one segment of `segments`, which starts at T. T lies before t_b, so
-    no field is evaluated from t_b on.
-    Its `reference` is the state the fields hold, v*(t) = (v_x(0), v_y(0),
-    v_z(t)), and its rate, the same with or without a level; it is defined
-    before t_b, and `propagate_bloch` uses it up to T.
+    every field before T is finite and none is evaluated from t_b on. When
+    2 gamma c = 0 nothing moves v_z, and the fields, num / |v_z(0)| clamped,
+    are one segment held from 0.
+
+    Otherwise its `reference` is the state the fields hold in the variable
+    sigma = -w, where w = sqrt(v_z(0)^2 - 2 gamma c t) = |v_z*(t)| (a
+    Sundman-type change of time): v*(sigma) = (v_x(0), v_y(0), -s sigma),
+    dt/dsigma = w / (gamma c), and each field times dt/dsigma is
+    omega0 w / (gamma c) or clamp(num, omega_max w) / (gamma c), bounded up
+    to t_b. The clamps are kinks at w = |num| / omega_max, and T maps to
+    the w of its clamp exactly. Times that this map does not send to
+    strictly increasing sigma (a horizon too short for w to resolve) get the
+    identity map sigma = t with the constant reference v*(0) instead.
     """
     terms = _dephasing_terms(v0, gamma, omega0)
     level = math.inf if omega_max is None else omega_max
     nums = (terms.num1, terms.num2)
     clamps = _clip_times(terms, level)
-    t_hold = math.inf
+
+    def clamp(w):
+        return w if abs(w) <= level else math.copysign(level, w)
+
+    w0 = terms.denominator(0.0)   # |v_z(0)|
+    if terms.two_gamma_c == 0.0:
+        return ControlWaveform._held((0.0,), ((omega0, *(clamp(num / w0) for num in nums)),))
+    t_hold, w_hold = math.inf, 0.0
     if omega_max is not None:
         t_hold = max((t for t, num in zip(clamps, nums) if num), default=0.0)
+        w_hold = min((abs(num) / level for num in nums if num), default=w0)
         # A level so high that the clamp rounds to t_b: step back to where
-        # v_z, and so the reference's rate, is still nonzero.
+        # v_z, and so every field before T, is still finite.
         while terms.radicand(t_hold) <= 0.0:
             t_hold = math.nextafter(t_hold, 0.0)
     # A zero numerator keeps its field at num / |v_z|, a zero of num's sign.
@@ -235,8 +252,7 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
         if t >= t_hold:
             return held
         w1, w2 = terms.fields(t)
-        return (omega0, w1 if abs(w1) <= level else math.copysign(level, w1),
-                w2 if abs(w2) <= level else math.copysign(level, w2))
+        return (omega0, clamp(w1), clamp(w2))
 
     def fields_on(ts):
         # `fields` at every time at once: the same divisions and clamps.
@@ -250,24 +266,32 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                                                   np.copysign(level, w)), held[j])
         return table
 
-    def reference(t):
-        # v* = (v_x0, v_y0, v_z(t)) and dv*/dt = (0, 0, -gamma c / v_z(t)).
-        vz = terms.vz(t)
-        return (np.array([v0.vx, v0.vy, vz]),
-                np.array([0.0, 0.0, -0.5 * terms.two_gamma_c / vz]))
+    # In sigma = -w: dt/dsigma = w rate and each field times it, rate = 1/(gamma c).
+    rate = 2.0 / terms.two_gamma_c
+    r0, r1, r2 = omega0 * rate, terms.num1 * rate, terms.num2 * rate
 
-    def states_on(ts):
-        # `reference(t)[0]` at every time at once.
-        states = np.empty((len(ts), 3))
-        states[:, :2] = v0.vx, v0.vy
-        states[:, 2] = terms.vz_on(ts)
-        return states
+    def drive(sigma):
+        dt = -sigma * rate
+        cap = level * dt
+        return (dt, -sigma * r0, r1 if abs(r1) <= cap else math.copysign(cap, r1),
+                r2 if abs(r2) <= cap else math.copysign(cap, r2))
+
+    kinks = tuple(sorted(t for t in clamps if 0.0 < t < terms.t_b))
+    sigma_kinks = tuple(sorted(-abs(num) / level for num in nums
+                               if 0.0 < abs(num) / level < w0))
+
+    def reference(ts):
+        sigma = np.where(ts < t_hold, -np.sqrt(np.maximum(0.0, terms.radicand(ts))),
+                         -w_hold)
+        if np.all(np.diff(sigma) > 0.0):
+            return Reference(sigma, sigma_kinks, drive, (v0.vx, v0.vy, 0.0),
+                             (0.0, 0.0, -terms.sign))
+        return Reference(ts, kinks, lambda t: (1.0, *fields(t)),
+                         (v0.vx, v0.vy, terms.sign * w0), (0.0, 0.0, 0.0))
 
     t_end = terms.t_b if omega_max is None else None
-    kinks = [t for t in clamps if 0.0 < t < terms.t_b]
     tail = ((t_hold,), (held,)) if t_hold < math.inf else None
-    return ControlWaveform._holding(fields, t_end, reference, kinks,
-                                    (fields_on, states_on), tail)
+    return ControlWaveform._holding(fields, t_end, reference, kinks, fields_on, tail)
 
 
 def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]:

@@ -6,9 +6,11 @@ piecewise concatenation of segments. Waveforms evaluate to a (3,) float array
 and carry an optional end of domain `t_end` plus `breakpoints` at which the
 fields may be discontinuous (integrators split there). Piecewise-constant
 waveforms carry their `segments`, from which `propagate_bloch` steps
-exactly; a tracking waveform carries the `reference` state its fields hold,
-from which `propagate_bloch` integrates the deviation, and a clipped one
-also carries its saturated tail as `segments` that start at its last clamp.
+exactly. A tracking waveform carries its `reference`: the map from time to
+the variable sigma in which the state its fields hold is linear, and its
+fields in that variable (a `Reference`), from which `propagate_bloch`
+integrates the deviation. A clipped one also carries its saturated tail as
+`segments` that start at its last clamp.
 
 Calling a waveform checks the time against its domain and the shape of the
 fields. Integrators and field tables, which only evaluate inside
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,24 @@ def segment_index(starts, t: float) -> int:
     segment and a time past the last start to the last one.
     """
     return max(bisect.bisect_right(starts, t) - 1, 0)
+
+
+class Reference(NamedTuple):
+    """A run's times in the variable sigma of the deviation route, and the drive in it.
+
+    The reference state is v*(sigma) = origin + sigma * slope, and
+    `drive(sigma)` gives (dt/dsigma, omega0 dt/dsigma, omega1 dt/dsigma,
+    omega2 dt/dsigma), so dv/dsigma = dt/dsigma (m0 v + k) + M(sigma) v
+    with the fields scaled by dt/dsigma. `sigma` holds the run's times
+    mapped to sigma, strictly increasing, and `breakpoints` the values of
+    sigma at which the drive has a kink.
+    """
+
+    sigma: np.ndarray
+    breakpoints: tuple
+    drive: Callable
+    origin: tuple
+    slope: tuple
 
 
 class ControlWaveform:
@@ -62,14 +83,15 @@ class ControlWaveform:
         holds one triple from its last clamp on. None for every other
         waveform.
     reference : callable or None
-        `t -> (v*(t), dv*/dt(t))`, two (3,) arrays, defined before t_b: for
-        a `tracking.tracked_waveform`, the state its fields hold. None for
-        every other waveform.
+        `times -> Reference`, for strictly increasing times before the first
+        start of `segments` (which may be the last of them): for a
+        `tracking.tracked_waveform`, the state its fields hold and the
+        fields, in a variable in which that state is linear. None for every
+        other waveform.
 
     `propagate_bloch` runs RK45 before the first start of `segments`, on the
     deviation from `reference` if there is one, and exact steps from there.
-    `table` and `reference_states` evaluate the fields and v*(t) over a
-    whole grid.
+    `table` evaluates the fields over a whole grid.
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):
@@ -78,7 +100,7 @@ class ControlWaveform:
         self._func = func
         self._segments = None
         self._reference = None
-        self._tables = None
+        self._table = None
         self.t_end = None if t_end == math.inf else t_end
         self.breakpoints = tuple(sorted(breakpoints))
 
@@ -122,15 +144,9 @@ class ControlWaveform:
         waveform evaluates its closed form over the whole grid at once, bit
         for bit what the raw function gives; any other is called at each time.
         """
-        if self._tables is not None:
-            return self._tables[0](grid)
+        if self._table is not None:
+            return self._table(grid)
         return np.array([self._func(t) for t in grid.tolist()], dtype=float)
-
-    def reference_states(self, grid: np.ndarray) -> np.ndarray:
-        """(len(grid), 3) reference states v*(t) at the grid's times, as `table` does."""
-        if self._tables is not None:
-            return self._tables[1](grid)
-        return np.array([self._reference(t)[0] for t in grid.tolist()])
 
     @classmethod
     def zero(cls) -> "ControlWaveform":
@@ -214,17 +230,17 @@ class ControlWaveform:
         return waveform
 
     @classmethod
-    def _holding(cls, func, t_end, reference, breakpoints=(), tables=None,
+    def _holding(cls, func, t_end, reference, breakpoints=(), table=None,
                  tail=None) -> "ControlWaveform":
-        """Closed-form fields built to hold the state `reference(t)[0]`, recorded as `reference`.
+        """Closed-form fields built to hold a state, recorded as `reference`.
 
-        `tables`, if given, is a pair of functions of a time array that give
-        `table` and `reference_states` at once, bit for bit what `func` and
-        `reference` give one time at a time. `tail`, if given, is the
-        `segments` on which `func` is constant from their first start on.
+        `table`, if given, is a function of a time array that gives `table`
+        at once, bit for bit what `func` gives one time at a time. `tail`, if
+        given, is the `segments` on which `func` is constant from their first
+        start on.
         """
         waveform = cls(func, t_end, breakpoints)
         waveform._segments = tail
         waveform._reference = reference
-        waveform._tables = tables
+        waveform._table = table
         return waveform

@@ -14,6 +14,7 @@ from cohtrack.bloch import (
     CoherenceVector,
     GKSMatrix,
     bloch_to_density,
+    control_matrix,
     gks_to_channel,
 )
 from cohtrack.dynamics import (
@@ -32,7 +33,13 @@ from cohtrack.dynamics import (
 )
 from cohtrack.equivalence import Rotation3, transport_waveform
 from cohtrack.errors import DomainError, ValidationError, WaveformDomainError
-from cohtrack.tracking import breakdown_time, tracked_waveform, tracking_fields_dephasing
+from cohtrack.tracking import (
+    breakdown_time,
+    simulate_tracked,
+    tracked_waveform,
+    tracking_fields_dephasing,
+    vz_tracked,
+)
 from cohtrack.waveform import ControlWaveform
 
 V0 = CoherenceVector(0.39, 0.39, 1.0 / math.sqrt(2.0))
@@ -350,6 +357,25 @@ class TestExactSteps:
         want = [free_dephasing_analytic(0.1, V0, float(t)).as_array() for t in free.t]
         assert np.max(np.abs(free.v - want)) <= 1e-14
 
+    @pytest.mark.parametrize("gamma, v0", [(0.0, V0), (0.1, CoherenceVector(0.0, 0.0, 0.7))],
+                             ids=["gamma=0", "c=0"])
+    @pytest.mark.parametrize("level", [None, 1.5])
+    def test_constant_tracked_waveforms(self, no_solver, monkeypatch, gamma, v0, level):
+        # 2 gamma c = 0: the fields num / |v_z(0)| (2.21, -2.21 and 0, 0 here)
+        # hold from 0, clamped at the level if it is below them.
+        w = tracked_waveform(v0, gamma, 4.0, level)
+        raw = tuple(tracking_fields_dephasing(v0, gamma, 4.0, 0.0))
+        fields = raw if level is None else tuple(
+            f if abs(f) <= level else math.copysign(level, f) for f in raw)
+        assert w.segments == ((0.0,), ((4.0, *fields),))
+        assert w.reference is None and w.t_end is None and w.breakpoints == ()
+        ch = BlochChannel.dephasing(gamma)
+        traj = simulate_tracked(ch, v0, 4.0, 6.0, level, n_samples=13)
+        ref = _rk45_reference(monkeypatch, ch, w, v0, 6.0, 13)
+        assert traj.termination == (Termination("horizon") if fields == raw
+                                    else Termination("clipped", 0.0))
+        assert np.max(np.abs(traj.v - ref)) <= 1e-9
+
     def test_unital_purity_never_rises(self, no_solver):
         rng = np.random.default_rng(4)
         for n_seg in range(1, 41):
@@ -387,26 +413,46 @@ def _direct(w: ControlWaveform) -> ControlWaveform:
     return ControlWaveform(w.unchecked(), w.t_end, w.breakpoints)
 
 
+def _without_reference(w: ControlWaveform) -> ControlWaveform:
+    """The same fields and `segments` stripped of `reference`: RK45 on v, then exact steps."""
+    return ControlWaveform._holding(w.unchecked(), w.t_end, None, w.breakpoints,
+                                    tail=w.segments)
+
+
 class TestDeviationRoute:
-    """A waveform with a `reference` integrates v - v*(t) with RK45 (Encke's method)."""
+    """A waveform with a `reference` integrates v - v*(sigma) with RK45 (Encke's
+    method) in the variable sigma of its `Reference` (Sundman's)."""
 
     GAMMA, OMEGA0 = 0.1, 4.0
 
     def test_reference_solves_the_bloch_equation_under_its_fields(self):
+        # sigma = -|v_z*(t)|, v*(sigma) is the closed form bit for bit, the drive
+        # is the fields times dt/dsigma, and at v* the rate in sigma is the slope.
         w = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
         assert _direct(w).reference is None
-        rhs = _bloch_rhs(BlochChannel.dephasing(self.GAMMA), w.unchecked())
-        h = 1e-6
-        for t in np.linspace(h, 0.99 * w.t_end, 7).tolist():
-            state, rate = w.reference(t)
-            assert np.array_equal(state[:2], [V0.vx, V0.vy])
-            assert np.max(np.abs(rhs(t, state) - rate)) <= 1e-13
-            fd = (w.reference(t + h)[0] - w.reference(t - h)[0]) / (2 * h)
-            assert np.max(np.abs(fd - rate)) <= 1e-7
+        h = 1e-7
+        ts = np.linspace(h, 0.99 * w.t_end, 7)
+        ref = w.reference(ts)
+        vz = [vz_tracked(V0, self.GAMMA, t) for t in ts.tolist()]
+        assert ref.sigma.tobytes() == (-np.abs(vz)).tobytes()
+        states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
+        assert states.tobytes() == np.column_stack(
+            [np.full(7, V0.vx), np.full(7, V0.vy), vz]).tobytes()
+        assert ref.breakpoints == () and ref.slope == (0.0, 0.0, -1.0)
+        ch, fields = BlochChannel.dephasing(self.GAMMA), w.unchecked()
+        for t, sigma, state in zip(ts.tolist(), ref.sigma.tolist(), states):
+            dt, *scaled = ref.drive(sigma)
+            assert np.allclose(np.array(scaled) / dt, fields(t), rtol=1e-13, atol=0.0)
+            # dt/dsigma is 1 / (dsigma/dt) of the map.
+            ends = w.reference(np.array([t - h, t + h])).sigma
+            assert math.isclose(dt, 2 * h / (ends[1] - ends[0]), rel_tol=1e-6)
+            rate = dt * (ch.m0 @ state + ch.k) + control_matrix(*scaled) @ state
+            assert np.max(np.abs(rate - ref.slope)) <= 1e-13
 
     def test_wrong_fields_still_show(self):
-        # omega1 of the wrong sign drives v far from the reference; the change
-        # of variable is exact, so the result is still that of the fields.
+        # omega1 of the wrong sign, in the drive too, drives v far from the
+        # reference state; the change of variable is exact, so the result is
+        # still that of the fields.
         w = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
         fields = w.unchecked()
 
@@ -414,14 +460,41 @@ class TestDeviationRoute:
             w0, w1, w2 = fields(t)
             return (w0, -w1, w2)
 
-        held = ControlWaveform._holding(flipped, w.t_end, w.reference)
+        def flipped_reference(ts):
+            ref = w.reference(ts)
+
+            def drive(sigma):
+                dt, a0, a1, a2 = ref.drive(sigma)
+                return (dt, a0, -a1, a2)
+
+            return ref._replace(drive=drive)
+
+        held = ControlWaveform._holding(flipped, w.t_end, flipped_reference)
         plain = ControlWaveform(flipped, w.t_end)
-        got = propagate_bloch(BlochChannel.dephasing(self.GAMMA), held, V0, 8.0,
-                              n_samples=161)
-        want = propagate_bloch(BlochChannel.dephasing(self.GAMMA), plain, V0, 8.0,
-                               n_samples=161)
-        ref = np.array([w.reference(t)[0] for t in got.t])
-        assert np.max(np.linalg.norm(got.v - ref, axis=1)) > 0.5
+        ch = BlochChannel.dephasing(self.GAMMA)
+        got = propagate_bloch(ch, held, V0, 8.0, n_samples=161)
+        want = propagate_bloch(ch, plain, V0, 8.0, n_samples=161)
+        ref = w.reference(got.t)
+        states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
+        assert np.max(np.linalg.norm(got.v - states, axis=1)) > 0.5
+        assert np.max(np.abs(got.v - want.v)) <= 1e-8
+
+    def test_a_wrong_reference_still_gives_the_fields_result(self):
+        # A reference far from the solution: the change of variable is exact,
+        # so the result is still that of the fields.
+        w = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
+
+        def wrong(ts):
+            return w.reference(ts)._replace(origin=(0.5, -0.4, 0.3), slope=(0.2, 0.0, 1.0))
+
+        held = ControlWaveform._holding(w.unchecked(), w.t_end, wrong)
+        ch = BlochChannel.dephasing(self.GAMMA)
+        got = propagate_bloch(ch, held, V0, 8.0, n_samples=161)
+        want = propagate_bloch(ch, _direct(w), V0, 8.0, n_samples=161)
+        ref = wrong(got.t)
+        states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
+        assert np.min(np.linalg.norm(got.v - states, axis=1)) > 0.5
+        assert got.termination == want.termination
         assert np.max(np.abs(got.v - want.v)) <= 1e-8
 
     @pytest.mark.parametrize("channel", ["dephasing", "general"])
@@ -437,25 +510,55 @@ class TestDeviationRoute:
         assert np.max(np.abs(got.v - want.v)) <= 1e-8
 
     def test_a_clipped_reference_is_the_unclipped_one_before_its_tail(self):
+        # Up to the first kink the clipped drive is the unclipped one; the
+        # kinks and the tail's start T lie at w = |num| / level exactly.
         plain = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
-        clipped = tracked_waveform(V0, self.GAMMA, self.OMEGA0, omega_max=5.0)
-        # The held tail starts at the last clamp, before t_b.
+        level = 5.0
+        clipped = tracked_waveform(V0, self.GAMMA, self.OMEGA0, omega_max=level)
         t_hold = clipped.breakpoints[-1]
         assert plain.segments is None
         assert clipped.segments[0] == (t_hold,) and t_hold < plain.t_end
-        head = np.linspace(0.0, t_hold, 9, endpoint=False)
-        for t in head.tolist():
-            for got, want in zip(clipped.reference(t), plain.reference(t)):
-                assert got.tobytes() == want.tobytes()
-        assert (clipped.reference_states(head).tobytes()
-                == plain.reference_states(head).tobytes())
+        nums = [abs(f) * V0.vz for f in tracking_fields_dephasing(V0, self.GAMMA,
+                                                                   self.OMEGA0, 0.0)]
+        head = np.linspace(0.0, t_hold, 9)
+        got, want = clipped.reference(head), plain.reference(head[:-1])
+        assert got.sigma[:-1].tobytes() == want.sigma.tobytes()
+        assert math.isclose(got.sigma[-1], -min(nums) / level, rel_tol=1e-15)
+        assert np.allclose(sorted(got.breakpoints), sorted(-n / level for n in nums),
+                           rtol=1e-15, atol=0.0)
+        assert (got.origin, got.slope) == (want.origin, want.slope)
+        first = min(got.breakpoints)
+        for sigma in np.linspace(want.sigma[0], first, 5, endpoint=False).tolist():
+            assert got.drive(sigma) == want.drive(sigma)
+        # Between the kinks one field is clamped, past both every field.
+        scaled = np.array(got.drive(got.sigma[-1])[1:]) / got.drive(got.sigma[-1])[0]
+        assert np.allclose(np.abs(scaled[1:]), level, rtol=1e-12, atol=0.0)
+
+    def test_a_horizon_too_short_for_w_takes_the_identity_map(self):
+        # With t_b near 1e301 every time of the run maps to the same w: the
+        # route integrates in t about the constant reference v*(0) instead,
+        # and still gives the result of the fields.
+        gamma = 1e-300
+        w = tracked_waveform(V0, gamma, self.OMEGA0)
+        grid = np.linspace(0.0, 5.0, 11)
+        ref = w.reference(grid)
+        assert ref.sigma is grid and ref.slope == (0.0, 0.0, 0.0)
+        assert ref.origin == (V0.vx, V0.vy, V0.vz)
+        fields = w.unchecked()
+        assert ref.drive(2.5) == (1.0, *fields(2.5))
+        ch = BlochChannel.dephasing(gamma)
+        got = propagate_bloch(ch, w, V0, 5.0, n_samples=11)
+        want = propagate_bloch(ch, _direct(w), V0, 5.0, n_samples=11)
+        assert got.termination == want.termination == Termination("horizon")
+        assert np.max(np.abs(got.v - want.v)) <= 1e-8
 
     def test_other_waveforms_have_no_reference(self):
         t = np.linspace(0.0, 2.0, 5)
         for w in (ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
                   transport_waveform(tracked_waveform(V0, self.GAMMA, self.OMEGA0),
                                      Rotation3(np.eye(3))),
-                  ControlWaveform.constant(1.0)):
+                  ControlWaveform.constant(1.0),
+                  tracked_waveform(V0, 0.0, self.OMEGA0)):
             assert w.reference is None
 
 
@@ -500,26 +603,35 @@ class TestRouteAgreement:
 
     @given(_coordinate, _coordinate, st.floats(1e-3, 0.7), st.booleans(),
            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), st.floats(-4.0, 4.0),
-           st.floats(0.05, 1.0), st.one_of(st.none(), st.floats(1.0, 20.0)))
+           st.floats(0.05, 1.0), st.one_of(st.none(), st.floats(0.0, 12.0)))
     @settings(max_examples=20, deadline=None)
     def test_tracked_dephasing_runs_before_breakdown(self, vx, vy, vz, up, gamma,
                                                      omega0, fraction, clip):
-        # Unclipped runs end before t_b; clipped ones, at a level 1-20 times
-        # the larger initial field, run up to 1.3 t_b.
+        # Unclipped runs end before t_b; clipped ones, at a level 1 to 1e12
+        # times the larger initial field, run up to 1.3 t_b. The plain run
+        # keeps the saturated tail, so from the last clamp T both take the
+        # same exact steps. RK45 in t cannot reach a T within about 1e-12 t_b
+        # of t_b, where the fields reach 1e6 times their start; the
+        # comparison then covers every sample before T.
         v0 = CoherenceVector(vx, vy, vz if up else -vz)
         ch = BlochChannel.dephasing(gamma)
         if clip is None:
             w, reach = tracked_waveform(v0, gamma, omega0), 0.95
         else:
             initial = max(map(abs, tracking_fields_dephasing(v0, gamma, omega0, 0.0)))
-            w = tracked_waveform(v0, gamma, omega0, clip * (initial or 1.0))
+            w = tracked_waveform(v0, gamma, omega0, 10.0**clip * (initial or 1.0))
             reach = 1.3
         t_max = fraction * reach * min(breakdown_time(v0, gamma), 10.0)
-        deviation = propagate_bloch(ch, w, v0, t_max, n_samples=21)
-        rk45 = propagate_bloch(ch, _direct(w), v0, t_max, n_samples=21)
-        assert deviation.termination == rk45.termination == Termination("horizon")
-        assert np.array_equal(deviation.t, rk45.t)
-        assert np.max(np.abs(deviation.v - rk45.v)) <= 1e-8
+        route = propagate_bloch(ch, w, v0, t_max, n_samples=21)
+        plain = propagate_bloch(ch, _without_reference(w), v0, t_max, n_samples=21)
+        assert route.termination == Termination("horizon")
+        n = len(plain.t)
+        if plain.termination.kind == "invalid":
+            assert plain.termination.time >= w.segments[0][0]
+        else:
+            assert plain.termination == route.termination
+        assert np.array_equal(plain.t, route.t[:n])
+        assert np.max(np.abs(route.v[:n] - plain.v)) <= 1e-8
 
     def test_clipped_run_with_a_zero_numerator(self):
         # omega1 = (omega0 v_x - gamma v_y) / v_z is 0 from this start; omega2
