@@ -103,16 +103,25 @@ def transport_waveform(w: ControlWaveform, r: Rotation3) -> ControlWaveform:
     """Rotate a control waveform so M'(t) = R M(t) R^t.
 
     The control matrix acts as the cross product with Omega = (w1, -w2, w0),
-    which transforms as Omega' = R Omega.
+    which transforms as Omega' = R Omega. The waveform's `segments`, if any,
+    are rotated the same way, so a held tail still takes exact steps; its
+    `reference` is not carried over.
     """
     rm = r.matrix
 
-    def rotated(t):
-        w0, w1, w2 = w(t)
+    def rotate(triple):
+        w0, w1, w2 = triple
         o = rm @ np.array([w1, -w2, w0])
         return (o[2], o[0], -o[1])
 
-    return ControlWaveform(rotated, t_end=w.t_end, breakpoints=w.breakpoints)
+    def rotated(t):
+        return rotate(w(t))
+
+    tail = None
+    if w.segments is not None:
+        starts, triples = w.segments
+        tail = (starts, tuple(map(rotate, triples)))
+    return ControlWaveform._holding(rotated, w.t_end, None, w.breakpoints, tail=tail)
 
 
 def _dephasing_spectrum(ch: BlochChannel):

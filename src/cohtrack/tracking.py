@@ -43,8 +43,8 @@ from .waveform import ControlWaveform, Reference
 
 # Objective matrices: S1 = v^t O1 v = v_x^2, S2 = v^t O2 v = v_y^2.
 # They commute with their paired generator: [O1, L1] = [O2, L2] = 0.
-O_1 = np.diag([1, 0, 0]).astype(int)
-O_2 = np.diag([0, 1, 0]).astype(int)
+O_1 = np.diag([1.0, 0.0, 0.0])
+O_2 = np.diag([0.0, 1.0, 0.0])
 
 EPS_DENOMINATOR = 1e-10
 EPS_NUMERATOR = 1e-8
@@ -146,22 +146,40 @@ def tracking_fields_dephasing(v0: CoherenceVector, gamma: float, omega0: float,
     return _dephasing_terms(v0, gamma, omega0, t).fields(t)
 
 
-def _general_numerators(ch: BlochChannel, v: np.ndarray,
-                        omega0: float) -> tuple[float, float]:
+# The constant matrices of the quadratic forms below.
+_N1_OMEGA0 = LAMBDA_0 @ O_2 - O_2 @ LAMBDA_0
+_N2_OMEGA0 = LAMBDA_0 @ O_1 - O_1 @ LAMBDA_0
+_D1 = LAMBDA_1 @ O_2 - O_2 @ LAMBDA_1
+_D2 = LAMBDA_2 @ O_1 - O_1 @ LAMBDA_2
+
+
+def _form(x: np.ndarray, m: np.ndarray, y: np.ndarray):
+    """x^t m y, row by row when x or y is an (n, 3) stack of states.
+
+    Each row is the same two matmuls as for one (3,) state, so a row of a
+    stack is bit for bit what that state alone gives.
+    """
+    return np.matmul(np.matmul(x[..., None, :], m), y[..., :, None])[..., 0, 0]
+
+
+def _general_numerators(ch: BlochChannel, v: np.ndarray, omega0: float):
+    """(N1, N2) of the paper's field formula at a (3,) state or each row of an (n, 3) stack."""
     m0, k = ch.m0, ch.k
-    n1 = (-omega0 * float(v @ (LAMBDA_0 @ O_2 - O_2 @ LAMBDA_0) @ v)
-          + float(v @ (m0 @ O_2 + O_2 @ m0) @ v)
-          + float(k @ O_2 @ v) + float(v @ O_2 @ k))
-    n2 = (-omega0 * float(v @ (LAMBDA_0 @ O_1 - O_1 @ LAMBDA_0) @ v)
-          + float(v @ (m0 @ O_1 + O_1 @ m0) @ v)
-          + float(k @ O_1 @ v) + float(v @ O_1 @ k))
+    n1 = (-omega0 * _form(v, _N1_OMEGA0, v) + _form(v, m0 @ O_2 + O_2 @ m0, v)
+          + _form(k, O_2, v) + _form(v, O_2, k))
+    n2 = (-omega0 * _form(v, _N2_OMEGA0, v) + _form(v, m0 @ O_1 + O_1 @ m0, v)
+          + _form(k, O_1, v) + _form(v, O_1, k))
     return n1, n2
 
 
-def _general_denominators(v: np.ndarray) -> tuple[float, float]:
-    d1 = float(v @ (LAMBDA_1 @ O_2 - O_2 @ LAMBDA_1) @ v)   # = 2 v_y v_z
-    d2 = float(v @ (LAMBDA_2 @ O_1 - O_1 @ LAMBDA_2) @ v)   # = 2 v_x v_z
-    return d1, d2
+def _general_denominators(v: np.ndarray):
+    """(D1, D2) = (2 v_y v_z, 2 v_x v_z) at a (3,) state or each row of an (n, 3) stack."""
+    return _form(v, _D1, v), _form(v, _D2, v)
+
+
+def _no_fields(d1, d2):
+    """Where the paper's formula has no fields: |D1| or |D2| <= 1e-12."""
+    return (np.abs(d1) <= 1e-12) | (np.abs(d2) <= 1e-12)
 
 
 def _numerator_scale(ch: BlochChannel, omega0: float) -> float:
@@ -187,9 +205,9 @@ def tracking_fields_general(ch: BlochChannel, v: CoherenceVector | np.ndarray,
     arr = v.as_array() if isinstance(v, CoherenceVector) else v
     d1, d2 = _general_denominators(arr)
     n1, n2 = _general_numerators(ch, arr, omega0)
-    if abs(d1) <= 1e-12 or abs(d2) <= 1e-12:
+    if _no_fields(d1, d2):
         raise SingularPointError(f"vanishing field denominator (D1={d1:.3e}, D2={d2:.3e})")
-    return n1 / d1, n2 / d2
+    return float(n1 / d1), float(n2 / d2)
 
 
 def omega_magnitude_sq(v0: CoherenceVector, gamma: float, omega0: float,
@@ -351,12 +369,13 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     ys, n_ok = _integrate(_feedback_rhs(ch, omega0, v0), v0.as_array(), grid, cfg)
 
     def fields(ts, vs):
-        omega = np.full((len(ts), 3), np.nan)
-        for i, v in enumerate(vs):
-            try:
-                omega[i] = (omega0, *tracking_fields_general(ch, v, omega0))
-            except SingularPointError:
-                pass
+        # The paper's formula at every kept sample at once; NaN where it has
+        # no fields, as `tracking_fields_general` raises there.
+        d1, d2 = _general_denominators(vs)
+        n1, n2 = _general_numerators(ch, vs, omega0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            omega = np.column_stack([np.full(len(ts), float(omega0)), n1 / d1, n2 / d2])
+        omega[_no_fields(d1, d2)] = np.nan
         return omega
 
     return _trajectory(grid, ys, n_ok, cfg, end, fields)
@@ -430,16 +449,13 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityRepor
         vs = np.vstack([vs, [vs[-1, 0], vs[-1, 1], 0.0]])
         w0s = np.append(w0s, w0s[-1])
 
-    # Screen whole arrays for zeros of D1 = 2 v_y v_z and D2 = 2 v_x v_z; the
-    # quadratic forms of `_general_denominators` that give the reported values
-    # are NaN, never zero, when any component is not finite.
-    finite = np.all(np.isfinite(vs), axis=1)
-    zero1 = finite & (np.abs(2.0 * vs[:, 1] * vs[:, 2]) <= EPS_DENOMINATOR)
-    zero2 = finite & (np.abs(2.0 * vs[:, 0] * vs[:, 2]) <= EPS_DENOMINATOR)
+    d1s, d2s = _general_denominators(vs)
+    zero1 = np.abs(d1s) <= EPS_DENOMINATOR
+    zero2 = np.abs(d2s) <= EPS_DENOMINATOR
 
     def report(cls, j, note=""):
-        d1, d2 = _general_denominators(vs[j])
-        n1, n2 = _general_numerators(ch, vs[j], w0s[j])
+        d1, d2 = float(d1s[j]), float(d2s[j])
+        n1, n2 = map(float, _general_numerators(ch, vs[j], w0s[j]))
         if cls is None:
             # An isolated zero: no field solves a vanishing row whose numerator
             # is above EPS_NUMERATOR at the run's scale; otherwise 0/0.

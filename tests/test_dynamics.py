@@ -386,6 +386,23 @@ class TestExactSteps:
             traj = propagate_bloch(ch, w, v0, 3.0, n_samples=61)
             assert np.max(np.diff(traj.p)) <= 1e-12
 
+    def test_transported_waveforms_keep_their_segments(self, no_solver, monkeypatch):
+        # Rotating the fields rotates every held triple the same way, so the
+        # transported waveform still takes exact steps and agrees with RK45.
+        piecewise = ControlWaveform.piecewise_constant([0.0, 1.0, 2.0],
+                                                       [[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]])
+        rz = Rotation3(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        w = transport_waveform(piecewise, rz)
+        starts, triples = w.segments
+        assert starts == piecewise.segments[0]
+        assert np.array_equal(triples, [w(0.5), w(1.5)])
+        assert np.array_equal(triples, [[1.0, 0.0, -0.5], [0.0, -1.0, -1.0]])
+        assert w.reference is None and w.breakpoints == piecewise.breakpoints
+        ch = _random_channel(np.random.default_rng(7))
+        traj = propagate_bloch(ch, w, V0, 3.0, n_samples=13)
+        ref = _rk45_reference(monkeypatch, ch, w, V0, 3.0, 13)
+        assert np.max(np.abs(traj.v - ref)) <= 1e-9
+
     def test_other_waveforms_call_the_solver(self, monkeypatch):
         runs = []
 
@@ -394,11 +411,9 @@ class TestExactSteps:
             return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", counting_solve_ivp)
-        piecewise = ControlWaveform.piecewise_constant([0.0, 1.0, 2.0],
-                                                       [[1.0, 0.5, 0.0], [0.0, 1.0, -1.0]])
         rz = Rotation3(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
         t = np.linspace(0.0, 2.0, 5)
-        for w in (transport_waveform(piecewise, rz),
+        for w in (transport_waveform(tracked_waveform(V0, 0.1, 4.0), rz),
                   ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
                   tracked_waveform(V0, 0.1, 4.0),
                   ControlWaveform(lambda s: (1.0, 0.0, 0.0))):

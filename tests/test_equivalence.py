@@ -29,7 +29,12 @@ from cohtrack.equivalence import (
 )
 from cohtrack.errors import ConfigError, DomainError, PastBreakdownError, ValidationError
 from cohtrack.scenarios import emit_fields, equivalence_report
-from cohtrack.tracking import breakdown_time, simulate_tracked, tracking_fields_dephasing
+from cohtrack.tracking import (
+    breakdown_time,
+    simulate_tracked,
+    tracked_waveform,
+    tracking_fields_dephasing,
+)
 from cohtrack.verify import _rot_z
 from cohtrack.waveform import ControlWaveform
 
@@ -38,6 +43,7 @@ OMEGA0 = 4.0
 V0 = CoherenceVector(math.sqrt(0.15), math.sqrt(0.15), math.sqrt(0.5))
 PHASE_FLIP = GKSMatrix(np.diag([0.0, 0.0, GAMMA / 2.0]).astype(complex))
 Y_FLIP = Rotation3(np.diag([-1.0, 1.0, -1.0]))
+PHASE_FLIP_CHANNEL = gks_to_channel(PHASE_FLIP)[1]
 
 
 def random_su2(rng):
@@ -179,6 +185,30 @@ class TestFieldTransport:
             rotated = propagate_bloch(ch_new, transport_waveform(w, r),
                                       transform_state(V0, r), 5.0, n_samples=11)
             assert np.max(np.abs(rotated.v - direct.v @ r.matrix.T)) <= 1e-8
+
+
+    # Levels of 1.6 to 1.6e5 times the initial field on the figure state:
+    # each clamps before t_b = 5 and holds its saturated tail past it.
+    @pytest.mark.parametrize("omega_max", [10.0, 100.0, 1000.0, 1e6])
+    def test_clipped_tracking_keeps_its_held_tail(self, omega_max):
+        # Without the tail RK45 in t would step through the held fields at
+        # about 3/|Omega|, a time that grows with the level.
+        v0 = CoherenceVector(math.sqrt(0.3), math.sqrt(0.2), math.sqrt(0.5))
+        w = tracked_waveform(v0, GAMMA, OMEGA0, omega_max)
+        moved = transport_waveform(w, Rotation3(np.eye(3)))
+        assert moved.segments[0] == w.segments[0]
+        assert np.array_equal(moved.segments[1], w.segments[1])
+        want = propagate_bloch(PHASE_FLIP_CHANNEL, w, v0, 6.0, n_samples=61)
+        got = propagate_bloch(PHASE_FLIP_CHANNEL, moved, v0, 6.0, n_samples=61)
+        assert got.termination == want.termination == Termination("horizon")
+        assert np.max(np.abs(got.v - want.v)) <= 1e-9
+        # Rotated fields drive the rotated channel along the rotated run.
+        r = su2_to_so3(HADAMARD)
+        a = transform_channel(PHASE_FLIP, HADAMARD)
+        rotated = propagate_bloch(gks_to_channel(a)[1], transport_waveform(w, r),
+                                  transform_state(v0, r), 6.0, n_samples=61)
+        assert rotated.termination == Termination("horizon")
+        assert np.max(np.abs(rotated.v - want.v @ r.matrix.T)) <= 1e-8
 
 
 class TestDephasingClassMembership:

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from cohtrack import tracking
 from cohtrack.bloch import (
+    LAMBDA_0,
+    LAMBDA_1,
+    LAMBDA_2,
     BlochChannel,
     CoherenceVector,
     GKSMatrix,
@@ -47,6 +50,7 @@ from cohtrack.tracking import (
 )
 from cohtrack.scenarios import sweep_breakdown
 from cohtrack.svgplot import read_csv_columns
+from cohtrack.verify import _random_gks
 from cohtrack.waveform import ControlWaveform
 
 GAMMA = 0.1
@@ -211,6 +215,74 @@ class TestFieldSynthesis:
         got = purity_rate(DEPHASING, V0) / (2.0 * V0.vz)
         want = -GAMMA * 0.3 / V0.vz
         assert abs(got - want) <= 1e-12
+
+
+# Coordinates from 0 and tiny values, so that some rows have |D| <= 1e-12,
+# to anywhere in [-1, 1].
+_formula_coordinate = st.one_of(st.just(0.0), st.floats(-1e-7, 1e-7), st.floats(-1.0, 1.0))
+
+
+def _scalar_formula(ch, v, omega0):
+    """(D1, D2, N1, N2) of one state, each quadratic form written as `v @ A @ v`."""
+    o1, o2 = np.diag([1, 0, 0]), np.diag([0, 1, 0])
+    m0, k = ch.m0, ch.k
+    return (float(v @ (LAMBDA_1 @ o2 - o2 @ LAMBDA_1) @ v),
+            float(v @ (LAMBDA_2 @ o1 - o1 @ LAMBDA_2) @ v),
+            -omega0 * float(v @ (LAMBDA_0 @ o2 - o2 @ LAMBDA_0) @ v)
+            + float(v @ (m0 @ o2 + o2 @ m0) @ v) + float(k @ o2 @ v) + float(v @ o2 @ k),
+            -omega0 * float(v @ (LAMBDA_0 @ o1 - o1 @ LAMBDA_0) @ v)
+            + float(v @ (m0 @ o1 + o1 @ m0) @ v) + float(k @ o1 @ v) + float(v @ o1 @ k))
+
+
+class TestArrayFormula:
+    """The paper's general-channel formula on one state and on a stack of them."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(-5.0, 5.0),
+           st.lists(st.tuples(*[_formula_coordinate] * 3), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_rows_are_the_single_state_values(self, seed, unital, omega0, rows):
+        ch = gks_to_channel(_random_gks(np.random.default_rng(seed), unital))[1]
+        vs = np.array(rows, dtype=float)
+        stacked = np.column_stack([*_general_denominators(vs),
+                                   *_general_numerators(ch, vs, omega0)])
+        single = np.array([[*_general_denominators(v), *_general_numerators(ch, v, omega0)]
+                           for v in vs])
+        assert _same_bits(stacked, single)
+        assert _same_bits(single, np.array([_scalar_formula(ch, v, omega0) for v in vs]))
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(1.0, 5.0),
+           st.lists(st.booleans(), min_size=21, max_size=21))
+    @settings(max_examples=15, deadline=None)
+    def test_feedback_fields_are_the_formula_at_each_sample(self, seed, unital, omega0,
+                                                            singular):
+        rng = np.random.default_rng(seed)
+        ch = gks_to_channel(_random_gks(rng, unital, scale=0.05))[1]
+        phase = rng.uniform(0.2, 1.3) + rng.integers(4) * math.pi / 2
+        r, vz = math.sqrt(rng.uniform(0.05, 0.4)), rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.7)
+        v0 = CoherenceVector(r * math.cos(phase), r * math.sin(phase), vz)
+        traj = simulate_tracked(ch, v0, omega0, 2.0, n_samples=21)
+        for v, omega in zip(traj.v, traj.omega):
+            assert tuple(omega) == (omega0, *tracking_fields_general(ch, v, omega0))
+
+        # The same run with some samples moved onto D1 = D2 = 0 (v_z = 0) or
+        # next to it (|D| about 1e-13): those rows have no fields.
+        moved = traj.v.copy()
+        moved[np.array(singular)[:len(moved)], 2] = 0.0
+        moved[1::4, 1] *= 1e-13 / max(abs(v0.vy * v0.vz), 1e-300)
+
+        def samples(rhs, y0, grid, cfg, breakpoints=()):
+            return moved, len(moved)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tracking, "_integrate", samples)
+            table = simulate_tracked(ch, v0, omega0, 2.0, n_samples=21).omega
+        for v, omega in zip(moved, table):
+            try:
+                want = (omega0, *tracking_fields_general(ch, v, omega0))
+            except SingularPointError:
+                assert np.all(np.isnan(omega))
+            else:
+                assert tuple(omega) == want
 
 
 class TestSimulateTracked:
