@@ -104,14 +104,17 @@ def transport_waveform(w: ControlWaveform, r: Rotation3) -> ControlWaveform:
 
     The control matrix acts as the cross product with Omega = (w1, -w2, w0),
     which transforms as Omega' = R Omega. The waveform's `segments`, if any,
-    are rotated the same way, so a held tail still takes exact steps; its
-    `reference` is not carried over.
+    are rotated the same way, so a held tail still takes exact steps. So is
+    its `reference`, if any: each `Reference` has its origin and slope
+    rotated by R and its drive's scaled fields rotated as the fields are,
+    with the same sigma, breakpoints and dt/dsigma, so a transported
+    tracking waveform still integrates its deviation from the rotated state.
     """
     rm = r.matrix
 
     def rotate(triple):
         w0, w1, w2 = triple
-        o = rm @ np.array([w1, -w2, w0])
+        o = (rm @ np.array([w1, -w2, w0])).tolist()
         return (o[2], o[0], -o[1])
 
     def rotated(t):
@@ -121,7 +124,18 @@ def transport_waveform(w: ControlWaveform, r: Rotation3) -> ControlWaveform:
     if w.segments is not None:
         starts, triples = w.segments
         tail = (starts, tuple(map(rotate, triples)))
-    return ControlWaveform._holding(rotated, w.t_end, None, w.breakpoints, tail=tail)
+    reference = None
+    if w.reference is not None:
+        def reference(ts):
+            ref = w.reference(ts)
+
+            def drive(sigma):
+                dt, *scaled = ref.drive(sigma)
+                return (dt, *rotate(scaled))
+
+            return ref._replace(drive=drive, origin=tuple((rm @ ref.origin).tolist()),
+                                slope=tuple((rm @ ref.slope).tolist()))
+    return ControlWaveform._holding(rotated, w.t_end, reference, w.breakpoints, tail=tail)
 
 
 def _dephasing_spectrum(ch: BlochChannel):

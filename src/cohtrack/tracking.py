@@ -12,6 +12,7 @@ fields in w, and tracked runs integrate in w.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,8 +25,8 @@ from .bloch import (
     LAMBDA_2,
     BlochChannel,
     CoherenceVector,
+    _freeze,
     coherence,
-    control_matrix,
 )
 from .dynamics import (
     IntegratorConfig,
@@ -162,12 +163,24 @@ def _form(x: np.ndarray, m: np.ndarray, y: np.ndarray):
     return np.matmul(np.matmul(x[..., None, :], m), y[..., :, None])[..., 0, 0]
 
 
+@functools.lru_cache(maxsize=1)
+def _anticommutators(m0_bytes: bytes):
+    """(m0 O_2 + O_2 m0, m0 O_1 + O_1 m0) for the m0 whose float bytes these are.
+
+    Keyed by content, so it cannot go stale: every call of a run hits the
+    one entry, and another channel's m0 recomputes it.
+    """
+    m0 = np.frombuffer(m0_bytes).reshape(3, 3)
+    return _freeze(m0 @ O_2 + O_2 @ m0), _freeze(m0 @ O_1 + O_1 @ m0)
+
+
 def _general_numerators(ch: BlochChannel, v: np.ndarray, omega0: float):
     """(N1, N2) of the paper's field formula at a (3,) state or each row of an (n, 3) stack."""
-    m0, k = ch.m0, ch.k
-    n1 = (-omega0 * _form(v, _N1_OMEGA0, v) + _form(v, m0 @ O_2 + O_2 @ m0, v)
+    k = ch.k
+    m0_o2, m0_o1 = _anticommutators(ch.m0.tobytes())
+    n1 = (-omega0 * _form(v, _N1_OMEGA0, v) + _form(v, m0_o2, v)
           + _form(k, O_2, v) + _form(v, O_2, k))
-    n2 = (-omega0 * _form(v, _N2_OMEGA0, v) + _form(v, m0 @ O_1 + O_1 @ m0, v)
+    n2 = (-omega0 * _form(v, _N2_OMEGA0, v) + _form(v, m0_o1, v)
           + _form(k, O_1, v) + _form(v, O_1, k))
     return n1, n2
 
@@ -384,14 +397,27 @@ def simulate_tracked(ch: BlochChannel, v0: CoherenceVector, omega0: float,
 def _feedback_rhs(ch: BlochChannel, omega0: float, v0: CoherenceVector):
     """dv/dt under state-feedback fields recomputed from the raw state.
 
-    NaN where no fields exist, so the solver tries a shorter step; raises
-    unless v0 has a rate, since RK45 never returns from a NaN first step.
+    NaN where no fields exist or they are not finite, so the solver tries a
+    shorter step; raises unless v0 has a rate, since RK45 never returns from
+    a NaN first step. The control matrix is built from Python floats, each
+    entry summed as `control_matrix` sums it, so the rate is bit for bit
+    (m0 + control_matrix(omega0, w1, w2)) @ v + k.
     """
     m0, k = ch.m0, ch.k
+    finite0 = math.isfinite(omega0)
+    z0 = omega0 * 0   # a zero entry of omega0 LAMBDA_0, signed as omega0 is
 
     def rate(v):
         w1, w2 = tracking_fields_general(ch, v, omega0)
-        return (m0 + control_matrix(omega0, w1, w2)) @ v + k
+        if not (finite0 and math.isfinite(w1) and math.isfinite(w2)):
+            raise DomainError(f"fields must be finite, got {(omega0, w1, w2)!r}")
+        # Entry by entry (omega0 L0 + w1 L1) + w2 L2, signed zeros included.
+        z1, z2 = w1 * 0, w2 * 0
+        z01 = z0 + z1
+        m = np.array([[z01 + z2, (-omega0 + z1) + z2, z01 + -w2],
+                      [(omega0 + z1) + z2, z01 + z2, (z0 + -w1) + z2],
+                      [z01 + w2, (z0 + w1) + z2, z01 + z2]])
+        return (m0 + m) @ v + k
 
     def rhs(t, v):
         try:

@@ -86,7 +86,8 @@ class ControlWaveform:
         `times -> Reference`, for strictly increasing times before the first
         start of `segments` (which may be the last of them): for a
         `tracking.tracked_waveform`, the state its fields hold and the
-        fields, in a variable in which that state is linear. None for every
+        fields, in a variable in which that state is linear, and for its
+        `equivalence.transport_waveform`, the same rotated. None for every
         other waveform.
 
     `propagate_bloch` runs RK45 before the first start of `segments`, on the

@@ -570,8 +570,6 @@ class TestDeviationRoute:
     def test_other_waveforms_have_no_reference(self):
         t = np.linspace(0.0, 2.0, 5)
         for w in (ControlWaveform.sampled(t, np.column_stack([t, -t, 2 * t])),
-                  transport_waveform(tracked_waveform(V0, self.GAMMA, self.OMEGA0),
-                                     Rotation3(np.eye(3))),
                   ControlWaveform.constant(1.0),
                   tracked_waveform(V0, 0.0, self.OMEGA0)):
             assert w.reference is None

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from cohtrack.bloch import (
     gks_to_channel,
     purity,
 )
+from cohtrack import dynamics
 from cohtrack.config import ScenarioConfig, complex_matrix_to_json
 from cohtrack.dynamics import Termination, propagate_bloch
 from cohtrack.equivalence import (
@@ -209,6 +211,63 @@ class TestFieldTransport:
                                   transform_state(v0, r), 6.0, n_samples=61)
         assert rotated.termination == Termination("horizon")
         assert np.max(np.abs(rotated.v - want.v @ r.matrix.T)) <= 1e-8
+
+
+    @pytest.mark.parametrize("omega_max", [None, 10.0, 1e9])
+    def test_tracking_keeps_its_reference(self, omega_max, monkeypatch):
+        # Without its reference the transported waveform ran RK45 in t: 1,436
+        # RHS calls to breakdown against 110, and level 1e9 ended `invalid`
+        # at t = 5, short of a last clamp that close to t_b.
+        v0 = CoherenceVector(math.sqrt(0.3), math.sqrt(0.2), math.sqrt(0.5))
+        w = tracked_waveform(v0, GAMMA, OMEGA0, omega_max)
+        moved = transport_waveform(w, Rotation3(np.eye(3)))
+        assert moved.reference is not None
+        nfev = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting_solve_ivp)
+        want = propagate_bloch(PHASE_FLIP_CHANNEL, w, v0, 6.0, n_samples=61)
+        direct_calls = sum(nfev)
+        nfev.clear()
+        got = propagate_bloch(PHASE_FLIP_CHANNEL, moved, v0, 6.0, n_samples=61)
+        assert got.termination == want.termination
+        assert want.termination.kind == ("breakdown" if omega_max is None else "horizon")
+        assert sum(nfev) == direct_calls
+        assert np.max(np.abs(got.v - want.v)) <= 1e-10
+        # Rotated fields and reference drive the rotated channel along the
+        # rotated run. On a held tail from T the state turns through
+        # |Omega| (t - T) radians, whose rounding, about 3e-7 per unit time
+        # at level 1e9, adds to the allowance there.
+        r = su2_to_so3(HADAMARD)
+        turned = transport_waveform(w, r)
+        ts = np.linspace(0.0, 4.0, 9)
+        ref, turned_ref = w.reference(ts), turned.reference(ts)
+        assert np.array_equal(turned_ref.sigma, ref.sigma)
+        assert turned_ref.breakpoints == ref.breakpoints
+        assert np.array_equal(turned_ref.origin, r.matrix @ ref.origin)
+        assert np.array_equal(turned_ref.slope, r.matrix @ ref.slope)
+        for sigma in ref.sigma:
+            # dt/dsigma as it was, the scaled fields rotated as fields are.
+            dt, *scaled = ref.drive(sigma)
+            turned_dt, *turned_scaled = turned_ref.drive(sigma)
+            assert turned_dt == dt
+            moved_fields = transport_waveform(ControlWaveform.constant(*scaled), r)(0.0)
+            assert np.array_equal(turned_scaled, moved_fields)
+        a = transform_channel(PHASE_FLIP, HADAMARD)
+        rotated = propagate_bloch(gks_to_channel(a)[1], turned,
+                                  transform_state(v0, r), 6.0, n_samples=61)
+        assert rotated.termination == want.termination
+        err = np.max(np.abs(rotated.v - want.v @ r.matrix.T), axis=1)
+        hold, turn_rate = math.inf, 0.0
+        if w.segments is not None:
+            hold, turn_rate = w.segments[0][0], float(np.linalg.norm(w.segments[1][0]))
+        allowance = 1e-8 + np.finfo(float).eps * turn_rate * np.maximum(want.t - hold, 0.0)
+        assert np.all(err <= allowance)
+        assert np.max(err[want.t < hold]) <= 1e-8
 
 
 class TestDephasingClassMembership:

@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohtrack import tracking
@@ -17,6 +17,7 @@ from cohtrack.bloch import (
     CoherenceVector,
     GKSMatrix,
     coherence,
+    control_matrix,
     gks_to_channel,
 )
 from cohtrack.dynamics import (
@@ -35,6 +36,7 @@ from cohtrack.errors import (
 )
 from cohtrack.tracking import (
     SingularityReport,
+    _feedback_rhs,
     _general_denominators,
     _general_numerators,
     breakdown_time,
@@ -284,6 +286,64 @@ class TestArrayFormula:
                 assert np.all(np.isnan(omega))
             else:
                 assert _same_bits(omega, np.array(want))
+
+
+# omega0 up to 1e306, so that a field n/d with |D| just above 1e-12 overflows.
+_rate_omega0 = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([1e306, -1e306]))
+_RATE_START = CoherenceVector(0.3, 0.4, 0.5)
+
+
+class TestFeedbackRate:
+    """The feedback right-hand side is bit for bit the control-matrix form."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), _rate_omega0,
+           st.lists(st.tuples(*[_formula_coordinate] * 3), min_size=1, max_size=12))
+    @example(seed=2, unital=True, omega0=-4.0, rows=[(0.5, 0.0, 0.6), (0.5, 0.6, 0.0)])
+    @settings(max_examples=100, deadline=None)
+    def test_rate_is_the_control_matrix_form(self, seed, unital, omega0, rows):
+        ch = gks_to_channel(_random_gks(np.random.default_rng(seed), unital))[1]
+        rhs = _feedback_rhs(ch, omega0, _RATE_START)
+        for v in np.array(rows, dtype=float):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = rhs(0.0, v)
+                try:
+                    fields = tracking_fields_general(ch, v, omega0)
+                    want = (ch.m0 + control_matrix(omega0, *fields)) @ v + ch.k
+                except DomainError:
+                    assert np.all(np.isnan(got))
+                else:
+                    assert _same_bits(got, want)
+
+    def test_an_overflowing_field_has_no_rate(self):
+        # N1 about 1e306 over D1 = 2 v_y v_z = 1e-7: omega1 is inf.
+        ch = gks_to_channel(_random_gks(np.random.default_rng(1)))[1]
+        rhs = _feedback_rhs(ch, 1e306, _RATE_START)
+        v = np.array([1.0, 0.5, 1e-7])
+        with np.errstate(over="ignore"):
+            assert not all(map(math.isfinite, tracking_fields_general(ch, v, 1e306)))
+            assert np.all(np.isnan(rhs(0.0, v)))
+
+    @pytest.mark.parametrize("omega0", [math.inf, -math.inf, math.nan])
+    def test_a_start_without_finite_fields_raises(self, omega0):
+        ch = gks_to_channel(_random_gks(np.random.default_rng(3)))[1]
+        with pytest.raises(DomainError, match="finite"):
+            _feedback_rhs(ch, omega0, _RATE_START)
+
+    def test_numerators_follow_the_channel(self):
+        # The m0 terms are kept for the last m0 seen; calls that alternate
+        # between two channels must each get their own channel's terms.
+        rng = np.random.default_rng(11)
+        chs = [gks_to_channel(_random_gks(rng, unital))[1] for unital in (False, True)]
+        assert not np.array_equal(chs[0].m0, chs[1].m0)
+        vs = rng.uniform(-1.0, 1.0, (6, 3))
+        wants = [np.array([_scalar_formula(ch, v, OMEGA0)[2:] for v in vs]) for ch in chs]
+        assert not np.array_equal(*wants)
+        for i in range(8):
+            j = i % 2
+            got = np.column_stack(_general_numerators(chs[j], vs, OMEGA0))
+            assert _same_bits(got, wants[j])
+            for v, want in zip(vs, wants[j]):
+                assert _same_bits(np.array(_general_numerators(chs[j], v, OMEGA0)), want)
 
 
 class TestSimulateTracked:
