@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+from cohtrack import dynamics
 from cohtrack.bloch import (
     BlochChannel,
     CoherenceVector,
@@ -15,7 +16,6 @@ from cohtrack.bloch import (
     gks_to_channel,
     purity,
 )
-from cohtrack import dynamics
 from cohtrack.config import ScenarioConfig, complex_matrix_to_json
 from cohtrack.dynamics import Termination, propagate_bloch
 from cohtrack.equivalence import (
@@ -212,7 +212,6 @@ class TestFieldTransport:
         assert rotated.termination == Termination("horizon")
         assert np.max(np.abs(rotated.v - want.v @ r.matrix.T)) <= 1e-8
 
-
     @pytest.mark.parametrize("omega_max", [None, 10.0, 1e9])
     def test_tracking_keeps_its_reference(self, omega_max, monkeypatch):
         # Without its reference the transported waveform ran RK45 in t: 1,436
@@ -242,9 +241,12 @@ class TestFieldTransport:
         # rotated run. On a held tail from T the state turns through
         # |Omega| (t - T) radians, whose rounding, about 3e-7 per unit time
         # at level 1e9, adds to the allowance there.
+        hold, turn_rate = math.inf, 0.0
+        if w.segments is not None:
+            hold, turn_rate = w.segments[0][0], float(np.linalg.norm(w.segments[1][0]))
         r = su2_to_so3(HADAMARD)
         turned = transport_waveform(w, r)
-        ts = np.linspace(0.0, 4.0, 9)
+        ts = np.linspace(0.0, min(hold, 4.0), 9)
         ref, turned_ref = w.reference(ts), turned.reference(ts)
         assert np.array_equal(turned_ref.sigma, ref.sigma)
         assert turned_ref.breakpoints == ref.breakpoints
@@ -262,9 +264,6 @@ class TestFieldTransport:
                                   transform_state(v0, r), 6.0, n_samples=61)
         assert rotated.termination == want.termination
         err = np.max(np.abs(rotated.v - want.v @ r.matrix.T), axis=1)
-        hold, turn_rate = math.inf, 0.0
-        if w.segments is not None:
-            hold, turn_rate = w.segments[0][0], float(np.linalg.norm(w.segments[1][0]))
         allowance = 1e-8 + np.finfo(float).eps * turn_rate * np.maximum(want.t - hold, 0.0)
         assert np.all(err <= allowance)
         assert np.max(err[want.t < hold]) <= 1e-8
