@@ -27,6 +27,7 @@ from .bloch import (
     CoherenceVector,
     _freeze,
     coherence,
+    control_matrix,
 )
 from .dynamics import (
     IntegratorConfig,
@@ -399,25 +400,13 @@ def _feedback_rhs(ch: BlochChannel, omega0: float, v0: CoherenceVector):
 
     NaN where no fields exist or they are not finite, so the solver tries a
     shorter step; raises unless v0 has a rate, since RK45 never returns from
-    a NaN first step. The control matrix is built from Python floats, each
-    entry summed as `control_matrix` sums it, so the rate is bit for bit
-    (m0 + control_matrix(omega0, w1, w2)) @ v + k.
+    a NaN first step.
     """
     m0, k = ch.m0, ch.k
-    finite0 = math.isfinite(omega0)
-    z0 = omega0 * 0   # a zero entry of omega0 LAMBDA_0, signed as omega0 is
 
     def rate(v):
         w1, w2 = tracking_fields_general(ch, v, omega0)
-        if not (finite0 and math.isfinite(w1) and math.isfinite(w2)):
-            raise DomainError(f"fields must be finite, got {(omega0, w1, w2)!r}")
-        # Entry by entry (omega0 L0 + w1 L1) + w2 L2, signed zeros included.
-        z1, z2 = w1 * 0, w2 * 0
-        z01 = z0 + z1
-        m = np.array([[z01 + z2, (-omega0 + z1) + z2, z01 + -w2],
-                      [(omega0 + z1) + z2, z01 + z2, (z0 + -w1) + z2],
-                      [z01 + w2, (z0 + w1) + z2, z01 + z2]])
-        return (m0 + m) @ v + k
+        return (m0 + control_matrix(omega0, w1, w2)) @ v + k
 
     def rhs(t, v):
         try:

@@ -105,6 +105,15 @@ class TestPauliAlgebra:
         m = control_matrix(1.3, -0.7, 2.9)
         assert np.array_equal(m, -m.T)
 
+    @given(*[st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0]), st.integers(-10, 10))] * 3)
+    @settings(max_examples=200, deadline=None)
+    def test_control_matrix_is_the_generator_sum(self, w0, w1, w2):
+        # Bit for bit the array sum, signed zeros included; float for ints too.
+        want = (w0 * LAMBDA_0 + w1 * LAMBDA_1 + w2 * LAMBDA_2).astype(float)
+        got = control_matrix(w0, w1, w2)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_control_matrix_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             control_matrix(math.inf, 0.0, 0.0)
