@@ -6,14 +6,16 @@ integrates the density-matrix master equation and converts the samples to
 Bloch coordinates. The density route serves as the oracle for the Bloch route.
 The Bloch route runs one sequence: RK45 up to the first time from which the
 fields are piecewise constant, then exact steps, one matrix exponential per
-step, from the state reached there. For a tracking waveform RK45 integrates
-the deviation from the reference state its fields hold (Encke's method), in
-the variable its `Reference` maps time to, w = |v_z*(t)| for tracked
-dephasing runs (a Sundman-type change of time), in which the fields scaled
-by dt/dw stay bounded up to the breakdown time. A piecewise-constant
-waveform is all exact steps, an unclipped tracking waveform all RK45, and a
-clipped one takes RK45 up to its last clamp and exact steps on its
-saturated tail. The density route stays on the adaptive integrator.
+step, from the state reached there. RK45 always integrates the deviation
+from a reference state (Encke's method) in the variable a `Reference` maps
+time to. For a tracking waveform that is the state its fields hold, in
+w = |v_z*(t)| for tracked dephasing runs (a Sundman-type change of time),
+in which the fields scaled by dt/dw stay bounded up to the breakdown time.
+Any other waveform takes the identity map sigma = t about the zero state:
+RK45 on v itself. A piecewise-constant waveform is all exact steps, an
+unclipped tracking waveform all RK45, and a clipped one takes RK45 up to its
+last clamp and exact steps on its saturated tail. The density route stays on
+the adaptive integrator.
 
 hbar = 1 throughout; rates and frequencies share inverse-time units.
 """
@@ -179,23 +181,6 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
     return ys, n_ok
 
 
-def _bloch_rhs(ch: BlochChannel, fields):
-    """dv/dt = (m0 + M(t)) v + k under a raw field function."""
-    m0, k = ch.m0, ch.k
-
-    def rhs(t, v):
-        # M(t) v written out as the cross product with (omega1, -omega2, omega0)
-        # to avoid building the control matrix at every evaluation.
-        w0, w1, w2 = fields(t)
-        dv = m0 @ v + k
-        dv[0] += -w0 * v[1] - w2 * v[2]
-        dv[1] += w0 * v[0] - w1 * v[2]
-        dv[2] += w2 * v[0] + w1 * v[1]
-        return dv
-
-    return rhs
-
-
 def _exact_steps(ch: BlochChannel, segments, t0: float, v0: np.ndarray,
                  grid: np.ndarray) -> np.ndarray:
     """Samples on the grid of dv/dt = (m0 + M) v + k under piecewise-constant fields.
@@ -278,8 +263,6 @@ def _output_grid(t_max: float, t_end: float | None,
     cut = math.inf if t_end is None else t_end * (1.0 - BREAKDOWN_GUARD)
     if cut <= t_max:
         grid = grid[grid < cut]
-        if len(grid) == 0:
-            grid = np.array([0.0])
         return grid, Termination("breakdown", float(t_end))
     return grid, Termination("horizon")
 
@@ -318,15 +301,16 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     """Integrate dv/dt = (m0 + M(t)) v + k on a uniform output grid.
 
     RK45 at `cfg` runs up to the first start of the waveform's `segments`
-    (all the way without them): for a waveform with a `reference`, on the
-    deviation e = v - v*(sigma) in the reference's variable sigma, reporting
-    v* + e at the grid's sigma, so that `atol` bounds the deviation's local
-    error; on v in t otherwise. From that start on, exact steps, one matrix
-    exponential per step between grid points and segment starts, carry the
-    state reached there. So a
-    piecewise-constant waveform is all exact steps (`cfg.rtol` then only
-    sets the 1 + 10*rtol cap below), and a clipped tracking waveform takes
-    RK45 up to its last clamp and exact steps on its saturated tail.
+    (all the way without them), on the deviation e = v - v*(sigma) in the
+    variable sigma of the waveform's `reference`, reporting v* + e at the
+    grid's sigma, so that `atol` bounds the deviation's local error. A
+    waveform without a `reference` takes `Reference.identity` about the
+    zero state: e = v in sigma = t. From that start on, exact steps, one
+    matrix exponential per step between grid points and segment starts,
+    carry the state reached there. So a piecewise-constant waveform is all
+    exact steps (`cfg.rtol` then only sets the 1 + 10*rtol cap below), and a
+    clipped tracking waveform takes RK45 up to its last clamp and exact
+    steps on its saturated tail.
 
     A waveform with a declared domain end below t_max yields a trajectory
     terminating with `breakdown` at that end. A state leaving the Bloch ball
@@ -342,10 +326,9 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     ys, n_ok, v = np.full((len(grid), 3), np.nan), 0, v0.as_array()
     if split:
         head = grid if split == len(grid) else np.append(grid[:split], hold)
-        if w.reference is not None:
-            vs, n_ok = _deviation_steps(ch, w.reference(head), v, cfg)
-        else:
-            vs, n_ok = _integrate(_bloch_rhs(ch, fields), v, head, cfg, w.breakpoints)
+        ref = (w.reference(head) if w.reference is not None
+               else Reference.identity(head, w.breakpoints, fields, (0.0, 0.0, 0.0)))
+        vs, n_ok = _deviation_steps(ch, ref, v, cfg)
         ys[:split], v = vs[:split], vs[-1]
     if split < len(grid):
         # A head that stopped short left v NaN, and the run ends `invalid`

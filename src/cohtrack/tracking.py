@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +126,10 @@ def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float,
     two_gamma_c, t_b = map(float, _breakdown(vz0_sq, coherence(v0), gamma))
     if v0.vz == 0.0:
         raise DomainError("v_z(0) = 0: no control is possible")
-    if vz0_sq == 0.0:
-        # The tracked v_z and the fields would divide by sqrt(v_z(0)^2) = 0.
-        raise DomainError(f"v_z(0)^2 underflows to 0 (v_z(0) = {v0.vz!r}): "
+    if vz0_sq < sys.float_info.min:
+        # The tracked v_z and the fields divide by sqrt(v_z(0)^2), and a
+        # subnormal radicand has too few digits to step back from t_b.
+        raise DomainError(f"v_z(0)^2 underflows to {vz0_sq:g} (v_z(0) = {v0.vz!r}): "
                           "no control is possible")
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
@@ -240,13 +242,13 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     """Closed-form tracking waveform for a pure-dephasing channel.
 
     Each in-plane field is clamped to +-omega_max, and the clamp times are
-    breakpoints. Without a level the waveform ends at t_b. With one, every
-    field is constant from T on, the last clamp of a nonzero numerator (0 if
-    both numerators are 0): (omega0, +-omega_max or 0, +-omega_max or 0),
-    the one segment of `segments`, which starts at T. T lies before t_b, so
-    every field before T is finite and none is evaluated from t_b on. When
-    2 gamma c = 0 nothing moves v_z, and the fields, num / |v_z(0)| clamped,
-    are one segment held from 0.
+    breakpoints. Without a level (None or inf) the waveform ends at t_b.
+    With one, every field is constant from T on, the last clamp of a nonzero
+    numerator (0 if both numerators are 0): (omega0, +-omega_max or 0,
+    +-omega_max or 0), the one segment of `segments`, which starts at T. T
+    lies before t_b, so every field before T is finite and none is evaluated
+    from t_b on. When 2 gamma c = 0 nothing moves v_z, and the fields,
+    num / |v_z(0)| clamped, are one segment held from 0.
 
     Otherwise its `reference` is the state the fields hold in the variable
     sigma = -w, where w = sqrt(v_z(0)^2 - 2 gamma c t) = |v_z*(t)| (a
@@ -270,7 +272,7 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     if terms.two_gamma_c == 0.0:
         return ControlWaveform._held((0.0,), ((omega0, *(clamp(num / w0) for num in nums)),))
     t_hold, w_hold = math.inf, 0.0
-    if omega_max is not None:
+    if level < math.inf:
         t_hold = max((t for t, num in zip(clamps, nums) if num), default=0.0)
         w_hold = min((abs(num) / level for num in nums if num), default=w0)
         # A level so high that the clamp rounds to t_b: step back to where
@@ -318,10 +320,9 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
         if np.all(np.diff(sigma) > 0.0):
             return Reference(sigma, sigma_kinks, drive, (v0.vx, v0.vy, 0.0),
                              (0.0, 0.0, -terms.sign))
-        return Reference(ts, kinks, lambda t: (1.0, *fields(t)),
-                         (v0.vx, v0.vy, terms.sign * w0), (0.0, 0.0, 0.0))
+        return Reference.identity(ts, kinks, fields, (v0.vx, v0.vy, terms.sign * w0))
 
-    t_end = terms.t_b if omega_max is None else None
+    t_end = None if level < math.inf else terms.t_b
     tail = ((t_hold,), (held,)) if t_hold < math.inf else None
     return ControlWaveform._holding(fields, t_end, reference, kinks, fields_on, tail)
 

@@ -4,13 +4,13 @@ A waveform may be a constant triple, a uniformly sampled table with linear
 interpolation, a closed-form rule defined only up to a breakdown time, or a
 piecewise concatenation of segments. Waveforms evaluate to a (3,) float array
 and carry an optional end of domain `t_end` plus `breakpoints` at which the
-fields may be discontinuous (integrators split there). Piecewise-constant
-waveforms carry their `segments`, from which `propagate_bloch` steps
-exactly. A tracking waveform carries its `reference`: the map from time to
-the variable sigma in which the state its fields hold is linear, and its
-fields in that variable (a `Reference`), from which `propagate_bloch`
-integrates the deviation. A clipped one also carries its saturated tail as
-`segments` that start at its last clamp.
+fields may be discontinuous or have a kink (integrators split there).
+Piecewise-constant waveforms carry their `segments`, from which
+`propagate_bloch` steps exactly. A tracking waveform carries its
+`reference`: the map from time to the variable sigma in which the state its
+fields hold is linear, and its fields in that variable (a `Reference`), from
+which `propagate_bloch` integrates the deviation. A clipped one also carries
+its saturated tail as `segments` that start at its last clamp.
 
 Calling a waveform checks the time against its domain and the shape of the
 fields. Integrators and field tables, which only evaluate inside
@@ -56,6 +56,16 @@ class Reference(NamedTuple):
     origin: tuple
     slope: tuple
 
+    @classmethod
+    def identity(cls, times, breakpoints, fields, origin) -> "Reference":
+        """The map sigma = t, about the constant reference state `origin`.
+
+        The drive is (1, *fields(t)), so the deviation route integrates
+        v - origin in t; with a zero origin that is RK45 on v itself.
+        """
+        return cls(times, breakpoints, lambda t: (1.0, *fields(t)), origin,
+                   (0.0, 0.0, 0.0))
+
 
 class ControlWaveform:
     """Time-dependent control fields (omega0, omega1, omega2).
@@ -71,7 +81,7 @@ class ControlWaveform:
         End of the domain of definition (exclusive), positive; None or inf
         means unbounded.
     breakpoints : sequence of float
-        Interior times where the fields may jump.
+        Interior times where the fields may jump or have a kink.
 
     Attributes
     ----------
@@ -91,7 +101,8 @@ class ControlWaveform:
         other waveform.
 
     `propagate_bloch` runs RK45 before the first start of `segments`, on the
-    deviation from `reference` if there is one, and exact steps from there.
+    deviation from `reference`, or from `Reference.identity` about the zero
+    state (RK45 on v in t) if there is none, and exact steps from there.
     `table` evaluates the fields over a whole grid.
     """
 
@@ -166,7 +177,8 @@ class ControlWaveform:
 
         `t` is a strictly increasing uniform grid of finite times starting at
         0; `omega` has shape (len(t), 3) and finite entries. Evaluation past
-        the last sample holds the end value.
+        the last sample holds the end value. Every sample after the first is
+        a breakpoint, so integrators do not step across the interpolant's kinks.
         """
         t = np.asarray(t, dtype=float)
         omega = np.asarray(omega, dtype=float)
@@ -191,7 +203,7 @@ class ControlWaveform:
         def interp(s):
             return np.array([np.interp(s, t, omega[:, j]) for j in range(3)])
 
-        return cls(interp)
+        return cls(interp, breakpoints=t[1:].tolist())
 
     @classmethod
     def piecewise_constant(cls, edges, values) -> "ControlWaveform":

@@ -21,7 +21,6 @@ from cohtrack.dynamics import (
     CSV_HEADER,
     IntegratorConfig,
     Termination,
-    _bloch_rhs,
     _integrate,
     _trajectory,
     free_dephasing_analytic,
@@ -190,6 +189,27 @@ class TestPropagateBloch:
         assert traj.termination.time == 3.0
         assert traj.t[-1] < 3.0
 
+    @pytest.mark.parametrize("route", ["tracked", "plain", "density"])
+    def test_a_cut_before_the_second_sample_keeps_the_start(self, no_solver, route):
+        # The guard cut t_end (1 - 1e-6) falls before the grid's second point:
+        # the run is its first sample alone, ends `breakdown` at t_end, and
+        # no solver runs.
+        ch = BlochChannel.dephasing(0.1)
+        if route == "tracked":
+            t_end = breakdown_time(V0, 0.1)
+            traj = simulate_tracked(ch, V0, 4.0, 100.0, n_samples=2)
+        else:
+            t_end = 0.01
+            w = ControlWaveform(lambda t: (1.0, 0.5, -0.3), t_end=t_end)
+            if route == "plain":
+                traj = propagate_bloch(ch, w, V0, 1.0, n_samples=2)
+            else:
+                a = GKSMatrix(np.diag([0.0, 0.0, 0.05]).astype(complex))
+                traj = propagate_density(a, w, bloch_to_density(V0), 1.0, n_samples=2)
+        assert traj.termination == Termination("breakdown", t_end)
+        assert np.array_equal(traj.t, [0.0])
+        assert np.array_equal(traj.v, [V0.as_array()])
+
     def test_samples_on_requested_grid(self):
         traj = propagate_bloch(ZERO_CHANNEL, ControlWaveform.zero(), V0, 1.0,
                                n_samples=11)
@@ -286,8 +306,19 @@ def _random_channel(rng, unital=False) -> BlochChannel:
     return gks_to_channel(GKSMatrix((0.1 * g @ g.conj().T).astype(complex)))[1]
 
 
+def _bloch_rhs(ch, fields):
+    """dv/dt = (m0 + M(t)) v + k written with the public control matrix."""
+    def rhs(t, v):
+        return (ch.m0 + control_matrix(*fields(t))) @ v + ch.k
+
+    return rhs
+
+
 def _rk45_reference(monkeypatch, ch, w, v0, t_max, n_samples):
-    """The same Bloch RHS through `_integrate`, with the real solver restored."""
+    """RK45 on v in t through `_integrate`, with the real solver restored.
+
+    The right-hand side is written here, apart from the production route.
+    """
     grid = np.linspace(0.0, t_max, n_samples)
     with monkeypatch.context() as m:
         m.setattr(dynamics, "solve_ivp", solve_ivp)
@@ -693,6 +724,30 @@ class TestRouteAgreement:
             assert np.max(np.abs(other.v - route.v)) <= 1e-8
             assert np.array_equal(other.omega, route.omega)
 
+
+
+class TestSampledWaveforms:
+    """A sampled table's interpolant has a kink at every sample; both pictures
+    split their solves there."""
+
+    def test_both_routes_match_a_tight_run_split_at_every_sample(self):
+        a = GKSMatrix(np.diag([0.02, 0.01, 0.05]).astype(complex))
+        ch = gks_to_channel(a)[1]
+        v0 = CoherenceVector(math.sqrt(0.3), math.sqrt(0.2), math.sqrt(0.5))
+        t = np.linspace(0.0, 8.0, 401)
+        w = ControlWaveform.sampled(t, np.column_stack(
+            [4.0 + 0.5 * np.sin(t), 3.0 * np.cos(2.0 * t), -2.0 * np.sin(1.5 * t)]))
+        assert w.breakpoints == tuple(t[1:].tolist())
+        bloch = propagate_bloch(ch, w, v0, 8.0, n_samples=81)
+        density = propagate_density(a, w, bloch_to_density(v0), 8.0, n_samples=81)
+        ys, n_ok = _integrate(_bloch_rhs(ch, w.unchecked()), v0.as_array(), bloch.t,
+                              IntegratorConfig(1e-13, 1e-15), w.breakpoints)
+        assert n_ok == len(bloch.t) == 81
+        # A solve that steps across the kinks misses this reference by 2.6e-8
+        # (Bloch) and 6.4e-8 (density).
+        for traj in (bloch, density):
+            assert traj.termination == Termination("horizon")
+            assert np.max(np.abs(traj.v - ys)) <= 1e-9
 
 
 class TestPropagateDensity:

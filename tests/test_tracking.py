@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cohtrack import tracking
@@ -28,6 +28,7 @@ from cohtrack.dynamics import (
     purity_rate,
 )
 from cohtrack.config import SweepSpec
+from cohtrack.equivalence import is_dephasing_class
 from cohtrack.errors import (
     DomainError,
     PastBreakdownError,
@@ -387,6 +388,15 @@ class TestSimulateTracked:
             simulate_tracked(DEPHASING, v0, OMEGA0, 10.0, omega_max=omega_max,
                              n_samples=11)
 
+    @pytest.mark.parametrize("omega_max", [None, 4.6e10])
+    def test_subnormal_vz_squared_rejected(self, no_solver, omega_max):
+        # A subnormal v_z(0)^2 (8.8e-321) keeps three digits: too few to place
+        # t_b, or to step T back from it one ulp at a time.
+        v0 = CoherenceVector(9.4e-161, 0.0, 9.4e-161)
+        with pytest.raises(DomainError, match="underflows to 8.8"):
+            simulate_tracked(BlochChannel.dephasing(0.88), v0, 2.2, 8.6,
+                             omega_max=omega_max, n_samples=29)
+
     def test_non_finite_omega0_rejected_before_the_solver(self, no_solver):
         # Before the waveform check at t = 0 this run never returned.
         with pytest.raises(ValidationError, match="finite"):
@@ -584,6 +594,19 @@ class TestClipping:
                                 1e300, n_samples=51)
         assert traj.termination.kind in ("clipped", "invalid")
         assert np.all(np.isfinite(traj.v))
+
+    @pytest.mark.parametrize("t_max", [5.0, 10.0])
+    def test_an_infinite_level_is_no_level(self, t_max):
+        # inf clamps nothing: the waveform has no held tail and ends at t_b,
+        # and the run is the unclipped one bit for bit.
+        w = tracked_waveform(self.HIGH_V0, 0.1, 4.0, math.inf)
+        assert w.segments is None and w.t_end == breakdown_time(self.HIGH_V0, 0.1)
+        got, want = (simulate_tracked(BlochChannel.dephasing(0.1), self.HIGH_V0, 4.0,
+                                      t_max, level) for level in (math.inf, None))
+        assert got.termination == want.termination == Termination(
+            "breakdown", breakdown_time(self.HIGH_V0, 0.1))
+        for a, b in ((got.t, want.t), (got.v, want.v), (got.omega, want.omega)):
+            assert _same_bits(a, b)
 
     def test_unclipped_horizon_before_clip(self):
         omega_max = 5.0
@@ -815,3 +838,87 @@ class TestBreakdownLabel:
                                n_samples=16)
         assert traj.termination == Termination("breakdown", t_b)
         assert traj.t[-1] < t_b * (1 - 1e-6)
+
+
+class TestTrackedTermination:
+    """ROADMAP item 6: a z-dephasing tracked run ends `horizon`, `breakdown` at
+    t_b or `clipped` at the clip time, or raises DomainError; never `invalid`.
+
+    The property leaves out four regions, and the strict xfails below pin
+    a case that fails in each: unclipped fields that turn the state by more
+    than about 200 rad (ROADMAP item 11, unbounded work; held from 0 they
+    also lose the state), held clipped fields with |Omega| dt above 1e10 per
+    exact step, horizons below 1e-6 t_b, and a t_max whose uniform grid
+    rounds to repeated times.
+    """
+
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.0, 1.0),
+           st.floats(-5.0, 5.0),
+           st.one_of(st.none(), st.floats(-3.0, 12.0).map(lambda e: 10.0**e)),
+           st.floats(1e-300, 10.0), st.integers(2, 41))
+    @settings(max_examples=50, deadline=None)
+    def test_every_run_ends_horizon_breakdown_or_clipped(self, v, gamma, omega0, level,
+                                                         t_max, n_samples):
+        assume(sum(x * x for x in v) <= 1.0)
+        v0 = CoherenceVector(*v)
+        ch = BlochChannel.dephasing(gamma)
+        try:
+            w1, w2 = tracking_fields_dephasing(v0, gamma, omega0, 0.0)
+        except DomainError:   # v_z(0)^2 is zero or subnormal
+            with pytest.raises(DomainError):
+                simulate_tracked(ch, v0, omega0, t_max, level, n_samples)
+            return
+        # The rate the run reads from the channel: below about 1e-146 the
+        # eigensolver's scaling can move it by an ulp.
+        rate = is_dephasing_class(ch)[2]
+        t_b = breakdown_time(v0, rate)
+        # The unclipped in-plane fields turn the state by at most
+        # 2 |omega(0)| min(t_max, t_b).
+        assume(math.hypot(w1, w2) * min(t_max, t_b) <= 100.0)
+        assume(level is None or level * t_max / (n_samples - 1) <= 1e10)
+        assume(t_b == math.inf or t_max >= 1e-6 * t_b)
+        traj = simulate_tracked(ch, v0, omega0, t_max, level, n_samples)
+        end = traj.termination
+        assert (end.kind == "breakdown") == (level is None and t_b * (1 - 1e-6) <= t_max)
+        clips = level is not None and clip_time(v0, rate, omega0, level) < t_max
+        assert (end.kind == "clipped") == clips
+        if end.kind == "breakdown":
+            assert end.time == t_b
+        elif end.kind == "clipped":
+            assert end.time == clip_time(v0, rate, omega0, level)
+        else:
+            assert end == Termination("horizon")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: fields near 4e14 held "
+                       "from 0 (gamma = 0, v_z(0) = 1e-14) give exact steps with "
+                       "|Omega| dt near 4e14, which lose the state: the run ends invalid")
+    def test_large_fields_held_from_the_start_end_horizon(self):
+        traj = simulate_tracked(BlochChannel.dephasing(0.0),
+                                CoherenceVector(0.6, 0.8 - 1e-9, 1e-14), OMEGA0, 10.0,
+                                n_samples=11)
+        assert traj.termination == Termination("horizon")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a tail held at level "
+                       "1e12 from T = 5.1e-4, in exact steps of 0.76 (|Omega| dt "
+                       "near 1e12), loses the state: the run ends invalid at t = 2.27")
+    def test_a_held_tail_with_long_steps_ends_clipped(self):
+        v0 = CoherenceVector(0.99, 0.0, 1e-3)
+        traj = simulate_tracked(BlochChannel.dephasing(1e-3), v0, -1.0, 6.8, 1e12,
+                                n_samples=10)
+        assert traj.termination == Termination("clipped", clip_time(v0, 1e-3, -1.0, 1e12))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: with t_max = 2e-14 t_b "
+                       "the run's times span 63 ulps of w, RK45 cannot step below "
+                       "that spacing, and the run ends invalid")
+    def test_a_horizon_far_below_breakdown_ends_horizon(self):
+        v0 = CoherenceVector(math.sqrt(0.3), math.sqrt(0.2), math.sqrt(0.5))
+        traj = simulate_tracked(BlochChannel.dephasing(1e-15), v0, OMEGA0, 10.0,
+                                n_samples=11)
+        assert traj.termination == Termination("horizon")
+
+    @pytest.mark.xfail(strict=True, reason="a t_max whose uniform grid rounds to "
+                       "repeated times reaches the solver, which raises ValueError")
+    def test_a_horizon_below_the_sample_spacing_raises_a_domain_error(self):
+        with pytest.raises(DomainError):
+            simulate_tracked(BlochChannel.dephasing(GAMMA), V0, OMEGA0, 5e-324,
+                             n_samples=12)
