@@ -234,12 +234,6 @@ def control_matrix(omega0: float, omega1: float, omega2: float) -> np.ndarray:
     for name, w in (("omega0", omega0), ("omega1", omega1), ("omega2", omega2)):
         if not math.isfinite(w):
             raise DomainError(f"{name} must be finite, got {w!r}")
-    # Entry by entry (omega0 L0 + omega1 L1) + omega2 L2 in scalars: the
-    # same sums as the array form, signed zeros included, without three
-    # array scalings. z_j = omega_j * 0 is a zero entry of omega_j L_j:
-    # signed as omega_j, or an int 0 for an int omega_j.
-    z0, z1, z2 = omega0 * 0, omega1 * 0, omega2 * 0
-    z01 = z0 + z1
-    return np.array([[z01 + z2, (-omega0 + z1) + z2, z01 + -omega2],
-                     [(omega0 + z1) + z2, z01 + z2, (z0 + -omega1) + z2],
-                     [z01 + omega2, (z0 + omega1) + z2, z01 + z2]], dtype=float)
+    return np.array([[0.0, -omega0, -omega2],
+                     [omega0, 0.0, -omega1],
+                     [omega2, omega1, 0.0]], dtype=float)

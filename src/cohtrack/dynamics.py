@@ -253,13 +253,17 @@ def _output_grid(t_max: float, t_end: float | None,
 
     A domain end t_end whose guard cut t_end (1 - BREAKDOWN_GUARD) lies at or
     before t_max keeps the grid points below the cut, and a run that reaches
-    the last kept sample then ends in `breakdown` at t_end.
+    the last kept sample then ends in `breakdown` at t_end. A t_max too
+    short for n_samples distinct times raises DomainError.
     """
     if not t_max > 0:
         raise DomainError(f"t_max must be positive, got {t_max}")
     if n_samples < 2:
         raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     grid = np.linspace(0.0, t_max, n_samples)
+    if not np.all(np.diff(grid) > 0.0):
+        raise DomainError(f"t_max = {t_max!r} is too short for {n_samples} "
+                          "distinct sample times")
     cut = math.inf if t_end is None else t_end * (1.0 - BREAKDOWN_GUARD)
     if cut <= t_max:
         grid = grid[grid < cut]

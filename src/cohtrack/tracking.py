@@ -22,8 +22,6 @@ from scipy.integrate import solve_ivp
 
 from .bloch import (
     LAMBDA_0,
-    LAMBDA_1,
-    LAMBDA_2,
     BlochChannel,
     CoherenceVector,
     _freeze,
@@ -153,8 +151,6 @@ def tracking_fields_dephasing(v0: CoherenceVector, gamma: float, omega0: float,
 # The constant matrices of the quadratic forms below.
 _N1_OMEGA0 = LAMBDA_0 @ O_2 - O_2 @ LAMBDA_0
 _N2_OMEGA0 = LAMBDA_0 @ O_1 - O_1 @ LAMBDA_0
-_D1 = LAMBDA_1 @ O_2 - O_2 @ LAMBDA_1
-_D2 = LAMBDA_2 @ O_1 - O_1 @ LAMBDA_2
 
 
 def _form(x: np.ndarray, m: np.ndarray, y: np.ndarray):
@@ -189,8 +185,11 @@ def _general_numerators(ch: BlochChannel, v: np.ndarray, omega0: float):
 
 
 def _general_denominators(v: np.ndarray):
-    """(D1, D2) = (2 v_y v_z, 2 v_x v_z) at a (3,) state or each row of an (n, 3) stack."""
-    return _form(v, _D1, v), _form(v, _D2, v)
+    """(D1, D2) = (2 v_y v_z, 2 v_x v_z) at a (3,) state or each row of an (n, 3) stack.
+
+    Adding 0.0 maps -0.0 to 0.0, the zero of the quadratic forms v^t [L_j, O_i] v.
+    """
+    return 2.0 * (v[..., 1] * v[..., 2]) + 0.0, 2.0 * (v[..., 0] * v[..., 2]) + 0.0
 
 
 def _no_fields(d1, d2):
@@ -457,8 +456,6 @@ def classify_singularity(traj: Trajectory, ch: BlochChannel) -> SingularityRepor
     terminated with breakdown contributes a virtual sample at t_b with
     v_z = 0.
     """
-    if len(traj.t) == 0:
-        raise DomainError("cannot classify an empty trajectory")
     ts, vs, w0s = traj.t, traj.v, traj.omega[:, 0]
     if traj.termination.kind == "breakdown" and traj.termination.time is not None:
         ts = np.append(ts, traj.termination.time)

@@ -209,6 +209,18 @@ class TestCLITrajectories:
             "infeasible: v_z(0)^2 underflows to 0 (v_z(0) = 1e-170): "
             "no control is possible\n")
 
+    @pytest.mark.parametrize("command, base", [("track", TRACK_CONFIG),
+                                               ("free", FREE_CONFIG),
+                                               ("fields", TRACK_CONFIG)])
+    def test_horizon_too_short_to_sample_exits_2(self, tmp_path, capsys, command, base):
+        # linspace(0, 5e-324, 12) repeats t = 0: no run, and no CSV of it.
+        obj = dict(base, t_max=5e-324, samples=12)
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), command, cfg]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: t_max = 5e-324 is too short for 12 distinct sample times\n")
+        assert not (tmp_path / base["output"]).exists()
+
     def test_singular_state_feedback_start_exits_2(self, tmp_path, capsys):
         # Unequal x and y rates: the state-feedback route, where v_y = 0 makes
         # the denominator D1 = 2 v_y v_z vanish.

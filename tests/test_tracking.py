@@ -464,6 +464,14 @@ class TestSimulateTracked:
         detected = detect_breakdown(DEPHASING, V0, OMEGA0, t_cap=12.0)
         assert abs(detected - T_B) / T_B <= 0.01
 
+    def test_detect_breakdown_of_an_equator_start_is_zero(self):
+        v0 = CoherenceVector(math.sqrt(0.3), math.sqrt(0.2), 0.0)
+        assert detect_breakdown(DEPHASING, v0, OMEGA0, t_cap=12.0) == 0.0
+
+    def test_detect_breakdown_before_the_floor_is_infinite(self):
+        # t_b = 25/3 lies past the cap, so |v_z| never reaches DETECT_VZ_FLOOR.
+        assert detect_breakdown(DEPHASING, V0, OMEGA0, t_cap=1.0) == math.inf
+
     def test_detect_breakdown_raises_when_the_solver_stops(self, monkeypatch):
         # No rate below v_z = 0.5, which the run reaches at t = 25/6: the
         # solver's step shrinks to nothing there. That is no breakdown.
@@ -844,12 +852,12 @@ class TestTrackedTermination:
     """ROADMAP item 6: a z-dephasing tracked run ends `horizon`, `breakdown` at
     t_b or `clipped` at the clip time, or raises DomainError; never `invalid`.
 
-    The property leaves out four regions, and the strict xfails below pin
-    a case that fails in each: unclipped fields that turn the state by more
-    than about 200 rad (ROADMAP item 11, unbounded work; held from 0 they
-    also lose the state), held clipped fields with |Omega| dt above 1e10 per
-    exact step, horizons below 1e-6 t_b, and a t_max whose uniform grid
-    rounds to repeated times.
+    The property leaves out four regions. The strict xfails below pin a
+    case that fails in each of three: unclipped fields that turn the state
+    by more than about 200 rad (ROADMAP item 11, unbounded work; held from 0
+    they also lose the state), held clipped fields with |Omega| dt above 1e10
+    per exact step, and horizons below 1e-6 t_b. The fourth, a t_max whose
+    uniform grid rounds to repeated times, raises DomainError.
     """
 
     @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.0, 1.0),
@@ -916,8 +924,6 @@ class TestTrackedTermination:
                                 n_samples=11)
         assert traj.termination == Termination("horizon")
 
-    @pytest.mark.xfail(strict=True, reason="a t_max whose uniform grid rounds to "
-                       "repeated times reaches the solver, which raises ValueError")
     def test_a_horizon_below_the_sample_spacing_raises_a_domain_error(self):
         with pytest.raises(DomainError):
             simulate_tracked(BlochChannel.dephasing(GAMMA), V0, OMEGA0, 5e-324,
