@@ -90,7 +90,10 @@ class CoherenceVector:
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise ValidationError(f"{name} must be finite, got {val!r}")
-        n2 = self.vx**2 + self.vy**2 + self.vz**2
+        try:
+            n2 = self.vx**2 + self.vy**2 + self.vz**2
+        except OverflowError:   # a component above about 1.3e154
+            n2 = math.inf
         if n2 > 1.0 + NORM_TOL:
             raise ValidationError(f"|v|^2 = {n2!r} exceeds 1 (state outside Bloch ball)")
 
@@ -115,11 +118,16 @@ class GKSMatrix:
             raise ValidationError(f"GKS matrix must be 3x3, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValidationError("GKS matrix has non-finite entries")
+        scale = _entry_scale(m)
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERMITICITY_TOL * _entry_scale(m):
+        if herm > HERMITICITY_TOL * scale:
             raise ValidationError(f"GKS matrix not Hermitian: residual {herm:.3e}")
         min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -PSD_SLACK * max(1.0, float(np.linalg.norm(m))):
+        # The slack is relative to |A|. Both sides are divided by the entry
+        # scale, so entries above 1e154 cannot overflow |A| to inf; with every
+        # |entry| <= 1 the scale is 1 and the division is exact.
+        slack = PSD_SLACK * max(1.0 / scale, float(np.linalg.norm(m / scale)))
+        if min_eig / scale < -slack:
             raise ValidationError(f"GKS matrix not PSD: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 

@@ -79,18 +79,17 @@ def vz_tracked(v0: CoherenceVector, gamma: float, t: float) -> float:
     terms = _dephasing_terms(v0, gamma, 0.0, t)
     if t > terms.t_b:
         raise PastBreakdownError(t, terms.t_b)
-    return terms.vz(t)
+    return terms.sign * float(terms.w(t))
 
 
 @dataclass(frozen=True)
 class _DephasingTerms:
     """The closed-form dephasing solution from one state, time counted from it.
 
-    v_z(t) = sign sqrt(radicand(t)) with radicand(t) = vz0_sq - two_gamma_c t,
-    and omega_i(t) = num_i / sqrt(radicand(t)), the sign folded into num_i.
-    `radicand` and `vz` take any time; `denominator` and `fields` refuse
-    times where the radicand is not positive, from t_b on. `radicand` also
-    takes a time array.
+    |v_z(t)| = w(t) = sqrt(max(0, vz0_sq - two_gamma_c t)), at one time or at
+    each of a time array, and v_z(t) = sign w(t). The fields are
+    omega_i(t) = num_i / w(t), the sign folded into num_i; `denominator`
+    and `fields` refuse times where w is not positive, from t_b on.
     """
 
     sign: float
@@ -100,17 +99,14 @@ class _DephasingTerms:
     two_gamma_c: float
     t_b: float
 
-    def radicand(self, t: float) -> float:
-        return self.vz0_sq - self.two_gamma_c * t
-
-    def vz(self, t: float) -> float:
-        return self.sign * math.sqrt(max(0.0, self.radicand(t)))
+    def w(self, t):
+        return np.sqrt(np.maximum(0.0, self.vz0_sq - self.two_gamma_c * t))
 
     def denominator(self, t: float) -> float:
-        radicand = self.radicand(t)
-        if not radicand > 0.0:
+        w = float(self.w(t))
+        if not w > 0.0:
             raise PastBreakdownError(t, self.t_b)
-        return math.sqrt(radicand)
+        return w
 
     def fields(self, t: float) -> tuple[float, float]:
         denom = self.denominator(t)
@@ -240,22 +236,25 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                      omega_max: float | None = None) -> ControlWaveform:
     """Closed-form tracking waveform for a pure-dephasing channel.
 
-    Each in-plane field is clamped to +-omega_max, and the clamp times are
-    breakpoints. Without a level (None or inf) the waveform ends at t_b.
-    With one, every field is constant from T on, the last clamp of a nonzero
-    numerator (0 if both numerators are 0): (omega0, +-omega_max or 0,
-    +-omega_max or 0), the one segment of `segments`, which starts at T. T
-    lies before t_b, so every field before T is finite and none is evaluated
-    from t_b on. When 2 gamma c = 0 nothing moves v_z, and the fields,
-    num / |v_z(0)| clamped, are one segment held from 0.
+    Its fields follow one law, written once as the array function it passes
+    as `table`: (omega0, omega1, omega2) with omega_i = num_i / |v_z(t)|
+    clamped to +-omega_max, before T, and the held triple (omega0,
+    +-omega_max or 0, +-omega_max or 0) from T on. T is the last clamp of a
+    nonzero numerator (0 if both numerators are 0); without a level (None
+    or inf) there is none, and the waveform ends at t_b. The per-time field
+    function is one row of that table. The clamp times are breakpoints, and
+    the held triple is the one segment of `segments`, which starts at T. T
+    lies before t_b, so every field before T is finite and none is
+    evaluated from t_b on. When 2 gamma c = 0 nothing moves v_z, and the
+    row at t = 0 is one segment held from 0.
 
     Otherwise its `reference` is the state the fields hold in the variable
-    sigma = -w, where w = sqrt(v_z(0)^2 - 2 gamma c t) = |v_z*(t)| (a
+    sigma = -w, where w = |v_z(t)| = sqrt(v_z(0)^2 - 2 gamma c t) (a
     Sundman-type change of time): v*(sigma) = (v_x(0), v_y(0), -s sigma),
     dt/dsigma = w / (gamma c), and each field times dt/dsigma is
-    omega0 w / (gamma c) or clamp(num, omega_max w) / (gamma c), bounded up
-    to t_b. The clamps are kinks at w = |num| / omega_max, and T maps to
-    the w of its clamp exactly. Times that this map does not send to
+    omega0 w / (gamma c) or num / (gamma c) clamped to +-omega_max w / (gamma c),
+    bounded up to t_b. The clamps are kinks at w = |num| / omega_max, and T
+    maps to the w of its clamp exactly. Times that this map does not send to
     strictly increasing sigma (a horizon too short for w to resolve) get the
     identity map sigma = t with the constant reference v*(0) instead.
     """
@@ -263,41 +262,34 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     level = math.inf if omega_max is None else omega_max
     nums = (terms.num1, terms.num2)
     clamps = _clip_times(terms, level)
-
-    def clamp(w):
-        return w if abs(w) <= level else math.copysign(level, w)
-
     w0 = terms.denominator(0.0)   # |v_z(0)|
-    if terms.two_gamma_c == 0.0:
-        return ControlWaveform._held((0.0,), ((omega0, *(clamp(num / w0) for num in nums)),))
     t_hold, w_hold = math.inf, 0.0
     if level < math.inf:
         t_hold = max((t for t, num in zip(clamps, nums) if num), default=0.0)
         w_hold = min((abs(num) / level for num in nums if num), default=w0)
         # A level so high that the clamp rounds to t_b: step back to where
         # v_z, and so every field before T, is still finite.
-        while terms.radicand(t_hold) <= 0.0:
+        while terms.w(t_hold) <= 0.0:
             t_hold = math.nextafter(t_hold, 0.0)
     # A zero numerator keeps its field at num / |v_z|, a zero of num's sign.
     held = (omega0, *(math.copysign(level, num) if num else num for num in nums))
 
-    def fields(t):
-        if t >= t_hold:
-            return held
-        w1, w2 = terms.fields(t)
-        return (omega0, clamp(w1), clamp(w2))
-
-    def fields_on(ts):
-        # `fields` at every time at once: the same divisions and clamps.
+    def table(ts):
         head = ts < t_hold
-        denom = np.sqrt(np.where(head, terms.radicand(ts), 1.0))
-        table = np.empty((len(ts), 3))
-        table[:, 0] = omega0
+        w = terms.w(np.minimum(ts, t_hold))   # the tail reads w(T) > 0, not w past t_b
+        rows = np.empty((len(ts), 3))
+        rows[:, 0] = omega0
         for j, num in ((1, terms.num1), (2, terms.num2)):
-            w = num / denom
-            table[:, j] = np.where(head, np.where(np.abs(w) <= level, w,
-                                                  np.copysign(level, w)), held[j])
-        return table
+            field = num / w
+            rows[:, j] = np.where(head, np.where(np.abs(field) <= level, field,
+                                                 np.copysign(level, field)), held[j])
+        return rows
+
+    def fields(t):
+        return table(np.array([t]))[0]
+
+    if terms.two_gamma_c == 0.0:
+        return ControlWaveform._held((0.0,), (tuple(fields(0.0).tolist()),))
 
     # In sigma = -w: dt/dsigma = w rate and each field times it, rate = 1/(gamma c).
     rate = 2.0 / terms.two_gamma_c
@@ -314,8 +306,7 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
                                if 0.0 < abs(num) / level < w0))
 
     def reference(ts):
-        sigma = np.where(ts < t_hold, -np.sqrt(np.maximum(0.0, terms.radicand(ts))),
-                         -w_hold)
+        sigma = np.where(ts < t_hold, -terms.w(ts), -w_hold)
         if np.all(np.diff(sigma) > 0.0):
             return Reference(sigma, sigma_kinks, drive, (v0.vx, v0.vy, 0.0),
                              (0.0, 0.0, -terms.sign))
@@ -323,7 +314,7 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
 
     t_end = None if level < math.inf else terms.t_b
     tail = ((t_hold,), (held,)) if t_hold < math.inf else None
-    return ControlWaveform._holding(fields, t_end, reference, kinks, fields_on, tail)
+    return ControlWaveform._holding(fields, t_end, reference, kinks, table, tail)
 
 
 def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]:
@@ -336,7 +327,7 @@ def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]
             times.append(math.inf)
         elif terms.two_gamma_c == 0.0:
             # Constant field num / |v_z(0)|: clips at t = 0 or never.
-            times.append(0.0 if abs(num) / math.sqrt(terms.vz0_sq) >= omega_max
+            times.append(0.0 if abs(num) / terms.denominator(0.0) >= omega_max
                          else math.inf)
         else:
             radicand = (num / omega_max) ** 2

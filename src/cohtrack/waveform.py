@@ -153,8 +153,8 @@ class ControlWaveform:
         """(len(grid), 3) fields at the grid's times, all inside [0, t_end).
 
         Call `unchecked()` first, as for the raw field function. A tracking
-        waveform evaluates its closed form over the whole grid at once, bit
-        for bit what the raw function gives; any other is called at each time.
+        waveform evaluates its clamped law over the whole grid at once, and
+        its raw function is one row of that; any other is called at each time.
         """
         if self._table is not None:
             return self._table(grid)
@@ -247,10 +247,11 @@ class ControlWaveform:
                  tail=None) -> "ControlWaveform":
         """Closed-form fields built to hold a state, recorded as `reference`.
 
-        `table`, if given, is a function of a time array that gives `table`
-        at once, bit for bit what `func` gives one time at a time. `tail`, if
-        given, is the `segments` on which `func` is constant from their first
-        start on.
+        `table`, if given, is the field law over a time array, returned by
+        `table`; `func` must give its rows one time at a time, bit for bit,
+        as a tracking waveform's `func` does by evaluating one row of it.
+        `tail`, if given, is the `segments` on which `func` is constant from
+        their first start on.
         """
         waveform = cls(func, t_end, breakpoints)
         waveform._segments = tail

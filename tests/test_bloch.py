@@ -1,6 +1,8 @@
 """Domain types, picture conversions, and GKS validation."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +137,10 @@ class TestStateTypes:
     def test_vector_outside_ball_rejected(self):
         with pytest.raises(ValidationError):
             CoherenceVector(0.8, 0.8, 0.8)
+        # A square that overflows used to raise a bare OverflowError.
+        for v in [(0.0, 1e300, 0.0), (-2e154, 0.0, 0.0), (0.0, 0.0, -1e308)]:
+            with pytest.raises(ValidationError, match=r"\|v\|\^2 = inf exceeds 1"):
+                CoherenceVector(*v)
 
     def test_vector_nan_rejected(self):
         with pytest.raises(ValidationError):
@@ -190,6 +196,16 @@ class TestGKSValidation:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValidationError, match=r"must be 3x3, got \(2, 2\)"):
             GKSMatrix(np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("entry", [1e100, 1e200])
+    def test_huge_negative_eigenvalue_rejected_without_a_warning(self, entry):
+        # |A| overflowed to inf from entries near 1e154 on, and an infinite
+        # slack let diag(-1e200, 0, 1e200) through with numpy's overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"min eigenvalue -{entry:.3e}")):
+                GKSMatrix(np.diag([-entry, 0.0, entry]).astype(complex))
 
     @pytest.mark.parametrize("scale", [1e3, 1e6, 1e10])
     def test_large_valid_matrix_accepted(self, scale):

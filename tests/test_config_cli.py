@@ -234,6 +234,14 @@ class TestCLITrajectories:
             "infeasible: vanishing field denominator (D1=0.000e+00, D2=6.000e-01)\n")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_overflowing_component_is_one_error_line(self, tmp_path, capsys):
+        # v_y^2 overflows; it used to end in a bare OverflowError traceback.
+        obj = dict(TRACK_CONFIG, initial_state={"vx": 0.1, "vy": 1e300, "vz": 0.5})
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), "track", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: initial_state: |v|^2 = inf exceeds 1 (state outside Bloch ball)\n")
+
     def test_infinite_phase_is_one_error_line(self, tmp_path, capsys):
         obj = dict(TRACK_CONFIG,
                    initial_state={"coherence": 0.3, "purity": 0.8, "phase": math.inf})

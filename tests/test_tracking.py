@@ -578,7 +578,7 @@ class TestClipping:
     @pytest.mark.parametrize("omega_max", [
         1e6, 1e9, 1e12,
         pytest.param(1e300, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 6: from a level near 3e16 here, "
+            strict=True, reason="ROADMAP item 12: from a level near 3e16 here, "
             "|Omega| dt near 1e16, the exact steps of the held tail lose the "
             "state, and the run ends invalid")),
     ])
@@ -629,8 +629,22 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _scalar_law(v0, gamma, omega0, omega_max, t_hold, t):
+    """The tracked fields at one time in Python floats: num_i / |v_z(t)| with
+    |v_z(t)| = math.sqrt(max(0, v_z(0)^2 - 2 gamma c t)), clamped to the level
+    by comparison, and the held triple from t_hold on."""
+    s = 1.0 if v0.vz > 0 else -1.0
+    nums = (s * (-gamma * v0.vy + omega0 * v0.vx), s * (-gamma * v0.vx - omega0 * v0.vy))
+    level = math.inf if omega_max is None else omega_max
+    if t >= t_hold:
+        return (omega0, *(math.copysign(level, num) if num else num for num in nums))
+    w = math.sqrt(max(0.0, v0.vz**2 - 2.0 * gamma * coherence(v0) * t))
+    fields = [num / w for num in nums]
+    return (omega0, *(f if abs(f) <= level else math.copysign(level, f) for f in fields))
+
+
 class TestWholeGridTables:
-    """`table` gives what the per-time field function gives, bit for bit."""
+    """`table` gives the clamped law written out one time at a time, bit for bit."""
 
     @given(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
            st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
@@ -659,8 +673,14 @@ class TestWholeGridTables:
         if w.t_end is None:
             extra = [t for t in (t_b, *w.breakpoints) if t <= t_max]
             grid = np.union1d(grid, extra)
-        fields = w.unchecked()
-        assert _same_bits(w.table(grid), np.array([fields(t) for t in grid.tolist()]))
+        # The held triple starts at the waveform's last clamp T; with
+        # 2 gamma c = 0 the fields never move and nothing is held.
+        t_hold = math.inf
+        if w.segments is not None and 2.0 * gamma * coherence(v0) != 0.0:
+            t_hold = w.segments[0][0]
+        want = [_scalar_law(v0, gamma, omega0, omega_max, t_hold, t) for t in grid.tolist()]
+        w.unchecked()
+        assert _same_bits(w.table(grid), np.array(want, dtype=float))
 
 
 class TestSingularityClassification:
@@ -897,7 +917,7 @@ class TestTrackedTermination:
         else:
             assert end == Termination("horizon")
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: fields near 4e14 held "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: fields near 4e14 held "
                        "from 0 (gamma = 0, v_z(0) = 1e-14) give exact steps with "
                        "|Omega| dt near 4e14, which lose the state: the run ends invalid")
     def test_large_fields_held_from_the_start_end_horizon(self):
@@ -906,7 +926,7 @@ class TestTrackedTermination:
                                 n_samples=11)
         assert traj.termination == Termination("horizon")
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a tail held at level "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: a tail held at level "
                        "1e12 from T = 5.1e-4, in exact steps of 0.76 (|Omega| dt "
                        "near 1e12), loses the state: the run ends invalid at t = 2.27")
     def test_a_held_tail_with_long_steps_ends_clipped(self):
@@ -915,7 +935,7 @@ class TestTrackedTermination:
                                 n_samples=10)
         assert traj.termination == Termination("clipped", clip_time(v0, 1e-3, -1.0, 1e12))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: with t_max = 2e-14 t_b "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: with t_max = 2e-14 t_b "
                        "the run's times span 63 ulps of w, RK45 cannot step below "
                        "that spacing, and the run ends invalid")
     def test_a_horizon_far_below_breakdown_ends_horizon(self):
