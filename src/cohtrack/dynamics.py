@@ -15,7 +15,7 @@ Any other waveform takes the identity map sigma = t about the zero state:
 RK45 on v itself. A piecewise-constant waveform is all exact steps, an
 unclipped tracking waveform all RK45, and a clipped one takes RK45 up to its
 last clamp and exact steps on its saturated tail. The density route stays on
-the adaptive integrator.
+RK45. Each RK45 solve is one `_solve` call; a non-finite run ends `invalid`.
 
 hbar = 1 throughout; rates and frequencies share inverse-time units.
 """
@@ -30,7 +30,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .bloch import (
-    LAMBDAS,
     PAULIS,
     SIGMA_X,
     SIGMA_Y,
@@ -39,6 +38,7 @@ from .bloch import (
     CoherenceVector,
     DensityMatrix,
     GKSMatrix,
+    control_matrix,
 )
 from .errors import DomainError, ValidationError
 from .svgplot import read_csv_columns, write_table
@@ -147,13 +147,20 @@ class Trajectory:
         return replace(self, singularity=report)
 
 
+def _solve(rhs, t_span, y0, cfg: IntegratorConfig, t_eval=None, events=None):
+    """The one RK45 call, at `cfg`'s tolerances; a non-finite value rejects a step silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(rhs, t_span, y0, method="RK45", t_eval=t_eval,
+                         events=events, rtol=cfg.rtol, atol=cfg.atol)
+
+
 def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
-    """Integrate on the caller's grid with RK45, splitting at field discontinuities.
+    """Integrate on the caller's grid with `_solve`, splitting at field discontinuities.
 
     One solver run per smooth waveform segment samples the grid through
     t_eval, so internal steps can span grid intervals. Returns (ys, n_ok):
     samples of shape (len(grid), dim) and the number of grid points reached
-    (the rest are left as NaN if the solver fails mid-way).
+    (the rest NaN if the solver stops early, as on a non-finite state or rate).
     """
     grid = np.asarray(grid, dtype=float)
     ys = np.full((len(grid), len(y0)), np.nan, dtype=np.asarray(y0).dtype)
@@ -169,8 +176,7 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
         targets = grid[sel]
         if len(targets) == 0 or targets[-1] != b:
             targets = np.append(targets, b)
-        sol = solve_ivp(rhs, (a, b), y, method="RK45", t_eval=targets,
-                        rtol=cfg.rtol, atol=cfg.atol)
+        sol = _solve(rhs, (a, b), y, cfg, t_eval=targets)
         reached = min(len(sol.t), len(sel))
         if reached:
             ys[sel[:reached]] = sol.y[:, :reached].T
@@ -193,10 +199,10 @@ def _exact_steps(ch: BlochChannel, segments, t0: float, v0: np.ndarray,
     """
     starts, triples = segments
     times = np.union1d([t0, *grid], [s for s in starts if t0 < s < grid[-1]])
-    fields = np.array([triples[segment_index(starts, t)] for t in times[:-1].tolist()])
-    gen = np.zeros((len(fields), 4, 4))
-    gen[:, 1:, 0] = ch.k
-    gen[:, 1:, 1:] = ch.m0 + np.tensordot(fields, LAMBDAS, axes=1)
+    gens = np.zeros((len(triples), 4, 4))
+    gens[:, 1:, 0] = ch.k
+    gens[:, 1:, 1:] = [ch.m0 + control_matrix(*triple) for triple in triples]
+    gen = gens[[segment_index(starts, t) for t in times[:-1].tolist()]]
     x = np.concatenate([[1.0], v0])
     xs = [x]
     # A step whose fields times its length is far beyond 1/eps is no longer
@@ -239,11 +245,7 @@ def _deviation_steps(ch: BlochChannel, ref: Reference, v0: np.ndarray,
                          dt * (m20 * x + m21 * y + m22 * z + k2) + w2 * x + w1 * y - q2])
 
     states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
-    # Between two clamp kinks at a level near the float range the drive
-    # varies by more than that range per unit sigma, and scipy's initial-step
-    # estimate overflows; the solver then starts from its smallest step.
-    with np.errstate(over="ignore"):
-        es, n_ok = _integrate(rhs, v0 - states[0], ref.sigma, cfg, ref.breakpoints)
+    es, n_ok = _integrate(rhs, v0 - states[0], ref.sigma, cfg, ref.breakpoints)
     return es + states, n_ok
 
 
@@ -380,10 +382,7 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
         return gen @ y
 
     y0 = rho0.matrix.ravel().astype(complex)
-    # scipy's error norm divides by the NaN scale of a complex state once the
-    # fields turn NaN; the run then ends `invalid` as the Bloch route does.
-    with np.errstate(invalid="ignore"):
-        ys, n_ok = _integrate(rhs, y0, grid, cfg, w.breakpoints)
+    ys, n_ok = _integrate(rhs, y0, grid, cfg, w.breakpoints)
     vs = np.full((len(grid), 3), np.nan)
     for i in range(n_ok):
         rho = ys[i].reshape(2, 2)

@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bloch import (
     LAMBDA_0,
@@ -35,6 +34,7 @@ from .dynamics import (
     Trajectory,
     _integrate,
     _output_grid,
+    _solve,
     _trajectory,
     propagate_bloch,
 )
@@ -277,10 +277,10 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     def table(ts):
         head = ts < t_hold
         w = terms.w(np.minimum(ts, t_hold))   # the tail reads w(T) > 0, not w past t_b
-        rows = np.empty((len(ts), 3))
-        rows[:, 0] = omega0
+        rows = np.full((len(ts), 3), omega0, dtype=float)
         for j, num in ((1, terms.num1), (2, terms.num2)):
-            field = num / w
+            with np.errstate(over="ignore"):   # inf is clamped, or refused at t = 0
+                field = num / w
             rows[:, j] = np.where(head, np.where(np.abs(field) <= level, field,
                                                  np.copysign(level, field)), held[j])
         return rows
@@ -330,7 +330,10 @@ def _clip_times(terms: _DephasingTerms, omega_max: float) -> tuple[float, float]
             times.append(0.0 if abs(num) / terms.denominator(0.0) >= omega_max
                          else math.inf)
         else:
-            radicand = (num / omega_max) ** 2
+            try:
+                radicand = (num / omega_max) ** 2
+            except OverflowError:   # past the float range: clamped from t = 0
+                radicand = math.inf
             times.append(max(0.0, (terms.vz0_sq - radicand) / terms.two_gamma_c))
     return times[0], times[1]
 
@@ -420,15 +423,14 @@ def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     """
     if v0.vz == 0.0:
         return 0.0
-    cfg = IntegratorConfig()
 
     def hit_floor(t, v):
         return abs(v[2]) - DETECT_VZ_FLOOR
 
     hit_floor.terminal = True
     hit_floor.direction = -1
-    sol = solve_ivp(_feedback_rhs(ch, omega0, v0), (0.0, t_cap), v0.as_array(),
-                    method="RK45", rtol=cfg.rtol, atol=cfg.atol, events=hit_floor)
+    sol = _solve(_feedback_rhs(ch, omega0, v0), (0.0, t_cap), v0.as_array(),
+                 IntegratorConfig(), events=hit_floor)
     if sol.status == -1:
         raise DomainError(f"breakdown detection stopped at t={sol.t[-1]}: {sol.message}")
     if sol.t_events[0].size:

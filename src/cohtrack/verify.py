@@ -29,7 +29,7 @@ from .bloch import (
     gks_to_channel,
 )
 from .config import SweepSpec
-from .dynamics import IntegratorConfig, propagate_bloch, propagate_density, purity_rate
+from .dynamics import propagate_bloch, propagate_density, purity_rate
 from .equivalence import HADAMARD, Rotation3, Unitary2, su2_to_so3, transform_channel
 from .errors import DomainError
 from .scenarios import sweep_breakdown
@@ -213,14 +213,13 @@ def check_fig1_sweep(seed=DEFAULT_SEED):
 def check_oracle(seed=DEFAULT_SEED):
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
     worst = 0.0
     for _ in range(100):
         a = _random_gks(rng)
         v0 = _random_state(rng)
         w = _random_piecewise(rng, 5.0)
-        tb = propagate_bloch(gks_to_channel(a)[1], w, v0, 5.0, cfg, n_samples=11)
-        td = propagate_density(a, w, bloch_to_density(v0), 5.0, cfg, n_samples=11)
+        tb = propagate_bloch(gks_to_channel(a)[1], w, v0, 5.0, n_samples=11)
+        td = propagate_density(a, w, bloch_to_density(v0), 5.0, n_samples=11)
         worst = max(worst, float(np.max(np.abs(tb.v - td.v))))
     return [
         _result("oracle/bloch-vs-density", worst, 1e-8),

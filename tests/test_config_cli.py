@@ -1,26 +1,32 @@
 """Configuration parsing, CLI subcommands, exit codes, and SVG output."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import cohtrack
 from cohtrack import cli
 from cohtrack.bloch import BlochChannel, gks_to_channel
 from cohtrack.cli import main
-from cohtrack.config import ScenarioConfig, SweepSpec, parse_json
+from cohtrack.config import ScenarioConfig, SweepSpec, complex_matrix_to_json, parse_json
 from cohtrack.dynamics import read_trajectory_csv, write_trajectory_csv
 from cohtrack.errors import ConfigError, ValidationError
 from cohtrack.scenarios import FIELDS_HEADER
 from cohtrack.svgplot import read_csv_columns, write_table
 from cohtrack.tracking import classify_singularity, simulate_tracked
+from cohtrack.verify import _random_gks
 
 TRACK_CONFIG = {
     "channel": {"type": "dephasing", "gamma": 0.1},
@@ -241,6 +247,79 @@ class TestCLITrajectories:
         assert main(["--out-dir", str(tmp_path), "track", cfg]) == 1
         assert capsys.readouterr().err == (
             "error: initial_state: |v|^2 = inf exceeds 1 (state outside Bloch ball)\n")
+
+    @pytest.mark.parametrize("obj, label", [
+        (dict(TRACK_CONFIG, channel={"type": "dephasing", "gamma": 0.4},
+              initial_state={"vx": 0.3, "vy": -0.1, "vz": 0.6},
+              control={"mode": "track", "omega0": 1e177}, t_max=6.0, samples=51),
+         "invalid:t=0.12"),
+        (dict(TRACK_CONFIG, channel={"type": "gks", "matrix": [
+            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [1e189, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]},
+              initial_state={"vx": 0.3, "vy": 0.3, "vz": -0.6},
+              control={"mode": "track", "omega0": -1.0}, t_max=10.0, samples=2),
+         "invalid:t=10"),
+    ], ids=["dephasing-omega0-1e177", "gks-rate-1e189"])
+    def test_run_that_turns_non_finite_ends_invalid(self, tmp_path, capsys, obj, label):
+        # Inside RK45 these runs meet an invalid value or an overflow (in
+        # the deviation route and in the state-feedback route); numpy's
+        # warning used to escape from the solver, a traceback under -W error.
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), "track", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith(f", termination={label})\n") and err == ""
+
+    def test_clip_level_whose_square_overflows_clamps_from_zero(self, tmp_path, capsys):
+        # (num / omega_max)^2 overflows: the fields are clamped from t = 0,
+        # the clip time formula's own limit, where `**` raised OverflowError.
+        obj = dict(TRACK_CONFIG, initial_state={"vx": 0.3, "vy": 0.3, "vz": 0.5},
+                   control={"mode": "track", "omega0": 4.0, "omega_max": 1e-200},
+                   samples=11)
+        fields = dict(obj, output="fields.csv")
+        assert main(["--out-dir", str(tmp_path), "track", write_config(tmp_path, obj)]) == 0
+        assert capsys.readouterr().out.endswith(", termination=clipped:t=0)\n")
+        assert main(["--out-dir", str(tmp_path), "fields",
+                     write_config(tmp_path, fields, "fields.json")]) == 0
+        _, rows, _ = read_csv_columns(tmp_path / "fields.csv")
+        assert [row[1:] for row in rows.tolist()] == [[4.0, 1e-200, -1e-200]] * 11
+
+    @pytest.mark.parametrize("gamma, omega_max", [(1e154, 5.2e-44), (1.03e215, 23.0)])
+    @pytest.mark.parametrize("command", ["track", "fields"])
+    def test_huge_rate_with_a_clip_level_exits_0(self, tmp_path, capsys, command,
+                                                 gamma, omega_max):
+        # num / omega_max is about gamma v_y / omega_max, whose square overflows.
+        obj = dict(TRACK_CONFIG, channel={"type": "dephasing", "gamma": gamma},
+                   control={"mode": "track", "omega0": 4.0, "omega_max": omega_max},
+                   samples=11)
+        assert main(["--out-dir", str(tmp_path), command, write_config(tmp_path, obj)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["track", "fields"])
+    def test_field_that_overflows_at_t0_is_clamped_or_refused(self, tmp_path, capsys,
+                                                               command):
+        # num / |v_z(0)| = -1e300 / 1e-9 overflows: clamped from t = 0 at a
+        # level, refused without one; both used to warn from the division.
+        obj = dict(TRACK_CONFIG, channel={"type": "dephasing", "gamma": 1e300},
+                   initial_state={"vx": 0.0, "vy": 1.0, "vz": 1e-9},
+                   control={"mode": "track", "omega0": 0.0}, samples=2)
+        clipped = dict(obj, control={"mode": "track", "omega0": 0.0, "omega_max": 5.0})
+        assert main(["--out-dir", str(tmp_path), command,
+                     write_config(tmp_path, clipped, "clipped.json")]) == 0
+        assert main(["--out-dir", str(tmp_path), command, write_config(tmp_path, obj)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: waveform fields at t = 0 must be finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
+        "ROADMAP item 13: a rate near the float maximum overflows the sum of "
+        "two eigenvalues in the dephasing-class test, with a numpy warning"))
+    def test_rate_near_the_float_maximum_is_an_exit_code(self, tmp_path):
+        obj = dict(TRACK_CONFIG, channel={"type": "dephasing", "gamma": 1e308},
+                   initial_state={"coherence": 0.0, "purity": 1.0, "phase": 0.0},
+                   control={"mode": "track", "omega0": 0.0}, t_max=1.0, samples=2)
+        cfg = write_config(tmp_path, obj)
+        assert main(["--out-dir", str(tmp_path), "track", cfg]) in (0, 1, 2)
 
     def test_infinite_phase_is_one_error_line(self, tmp_path, capsys):
         obj = dict(TRACK_CONFIG,
@@ -528,6 +607,117 @@ def test_io_failure_is_one_error_line(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert wording in err
+
+
+# --- every generated config ends in an exit code, never in a traceback ------
+
+# The numbers a generated config holds: these edges and 10^e, e in [-320, 308].
+_EDGES = (0.0, 1.0, -1.0, 1e-300, 5e-324, 1e300, 1e154, -1e154)
+
+
+def _numbers(lo=0.0, hi=math.inf):
+    """Those numbers whose magnitude lies in [lo, hi]."""
+    exponents = st.floats(math.log10(lo) if lo else -320.0, min(308.0, math.log10(hi)))
+    powers = exponents.map(lambda e: 10.0**e).filter(lambda x: lo <= x <= hi)
+    edges = [x for x in _EDGES if lo <= abs(x) <= hi]
+    return st.one_of(st.sampled_from(edges), powers) if edges else powers
+
+
+def _signed(numbers):
+    return st.tuples(st.sampled_from((1.0, -1.0)), numbers).map(lambda sx: sx[0] * sx[1])
+
+
+def _mostly(lo=0.0, hi=math.inf, others=_numbers()):
+    """One of `others`, drawn 3 times in 4 from the positive numbers in [lo, hi].
+
+    A config with a number outside its valid range exits 1 at once; the
+    bias lets more of the examples run. Three components of at most 0.5
+    make a state inside the Bloch ball.
+    """
+    valid = _numbers(lo, hi).map(abs)
+    return st.one_of(valid, valid, valid, others)
+
+
+def _ordered(numbers):
+    return st.tuples(numbers, numbers).map(sorted)
+
+
+def _channels(gamma_max=math.inf):
+    """A dephasing channel, with a rate up to `gamma_max`, or a GKS matrix of order 1."""
+    return st.one_of(
+        st.builds(lambda gamma: {"type": "dephasing", "gamma": gamma},
+                  _mostly(hi=gamma_max, others=_numbers(hi=gamma_max))),
+        st.builds(lambda seed, unital: {"type": "gks", "matrix": complex_matrix_to_json(
+            _random_gks(np.random.default_rng(seed), unital, scale=1.0).matrix)},
+                  st.integers(0, 2**32 - 1), st.booleans()))
+
+
+_POLAR_STATES = st.builds(
+    lambda cp, phase: {"coherence": cp[0], "purity": cp[1], "phase": phase},
+    _ordered(_mostly(hi=1.0)), _signed(_numbers()))
+
+
+def _polar_vz(state) -> float:
+    """v_z(0) = sqrt(p - c) of a polar state; inf where the config refuses it."""
+    c, p = state["coherence"], state["purity"]
+    return math.sqrt(p - c) if 0 <= c <= p <= 1 else math.inf
+
+
+@st.composite
+def _cli_runs(draw):
+    """(command, config) for `track`, `free`, `fields` or `sweep`."""
+    # `track` twice as often: it alone runs RK45.
+    command = draw(st.sampled_from(["track", "track", "free", "fields", "sweep"]))
+    if command == "sweep":
+        grid = st.builds(
+            lambda lohi, count: {"min": lohi[0], "max": lohi[1], "count": count},
+            _ordered(_mostly(hi=1.0)), st.integers(1, 4))
+        return command, {"gamma": draw(_mostly()), "c": draw(grid), "p": draw(grid)}
+    vz, polar = _mostly(hi=0.5), _POLAR_STATES
+    if command == "track":
+        vz = _mostly(1e-3, 0.5, _numbers(lo=1e-3))
+        polar = polar.filter(lambda state: _polar_vz(state) >= 1e-3)
+    explicit = st.fixed_dictionaries({"vx": _signed(_mostly(hi=0.5)),
+                                      "vy": _signed(_mostly(hi=0.5)), "vz": _signed(vz)})
+    states = st.one_of(explicit, polar)
+    control = {"mode": "free"}
+    if command != "free":
+        control = {"mode": "track", "omega0": draw(_signed(_numbers(hi=10.0)))}
+        if draw(st.booleans()):
+            control["omega_max"] = draw(_mostly(lo=5e-324))
+    t_max = draw(_mostly(5e-324, 20.0, _numbers(hi=20.0)))
+    channels = _channels(1e3 / abs(t_max) if command == "track" and t_max else math.inf)
+    return command, {"channel": draw(channels), "initial_state": draw(states),
+                     "control": control, "t_max": t_max,
+                     "samples": draw(st.integers(2, 41))}
+
+
+@given(_cli_runs())
+@settings(max_examples=150, deadline=None)
+def test_every_config_ends_in_an_exit_code(run):
+    """`cli.main` returns 0, 1 or 2, with one error line, and raises and warns nothing.
+
+    The suite turns every warning into an error, so a numpy warning from
+    inside the solver fails here too. The work is bounded (|omega0| <= 10,
+    t_max <= 20, GKS entries of order 1, and for `track` |v_z(0)| >= 1e-3
+    and gamma t_max <= 1e3) because unbounded runs still need not return
+    (ROADMAP item 11): gamma 1.8e-318 with t_max 2.4e166, gamma 2.3e-100
+    with omega0 1e154, and gamma 1e300 with c = 5e-324 (t_b = 1e23, and
+    RK45's steps bound by 1/gamma) each ran past 10 s.
+    """
+    command, obj = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), obj)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--out-dir", tmp, command, path])
+    event(f"{command} exit {code}")   # counted by --hypothesis-show-statistics
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "infeasible: "))
+    else:
+        assert lines == []
 
 
 IDENTITY_U = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
