@@ -68,6 +68,16 @@ def _number(value, context: str) -> float:
     return x
 
 
+def _rate(value, context: str) -> float:
+    """A dephasing rate gamma >= 0 whose 2 gamma, the rate of every formula, is finite."""
+    gamma = _number(value, context)
+    if gamma < 0:
+        raise ConfigError(f"{context}: rate must be >= 0, got {gamma}")
+    if not math.isfinite(2.0 * gamma):
+        raise ConfigError(f"{context}: rate {gamma!r} is too large (2 gamma overflows)")
+    return gamma
+
+
 def parse_complex_matrix(rows, context: str) -> np.ndarray:
     """Parse a complex matrix given as nested [re, im] pairs."""
     try:
@@ -88,9 +98,7 @@ def channel_from_dict(obj, context="channel") -> GKSMatrix:
     kind = _get(obj, "type", context)
     if kind == "dephasing":
         _require_keys(obj, {"type", "gamma"}, context)
-        gamma = _number(_get(obj, "gamma", context), f"{context}.gamma")
-        if gamma < 0:
-            raise ConfigError(f"{context}.gamma: rate must be >= 0, got {gamma}")
+        gamma = _rate(_get(obj, "gamma", context), f"{context}.gamma")
         return GKSMatrix(np.diag([0.0, 0.0, gamma / 2.0]).astype(complex))
     if kind == "gks":
         _require_keys(obj, {"type", "matrix"}, context)
@@ -239,9 +247,7 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, obj) -> "SweepSpec":
         _require_keys(obj, _SWEEP_KEYS, "sweep")
-        gamma = _number(_get(obj, "gamma", "sweep"), "sweep.gamma")
-        if gamma < 0:
-            raise ConfigError(f"sweep.gamma: rate must be >= 0, got {gamma}")
+        gamma = _rate(_get(obj, "gamma", "sweep"), "sweep.gamma")
         c_grid = GridSpec.from_dict(_get(obj, "c", "sweep"), "sweep.c")
         p_grid = GridSpec.from_dict(_get(obj, "p", "sweep"), "sweep.p")
         for name, grid in (("c", c_grid), ("p", p_grid)):

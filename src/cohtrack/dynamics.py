@@ -16,6 +16,10 @@ RK45 on v itself. A piecewise-constant waveform is all exact steps, an
 unclipped tracking waveform all RK45, and a clipped one takes RK45 up to its
 last clamp and exact steps on its saturated tail. The density route stays on
 RK45. Each RK45 solve is one `_solve` call; a non-finite run ends `invalid`.
+RK45 runs one solve per segment between breakpoints, and no stage of a
+segment that ends at a breakpoint evaluates the fields past it. Either
+route returns a `Trajectory`, whose samples are one (n, 9) table in the
+CSV's column order.
 
 hbar = 1 throughout; rates and frequencies share inverse-time units.
 """
@@ -23,7 +27,7 @@ hbar = 1 throughout; rates and frequencies share inverse-time units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -75,7 +79,7 @@ TERMINATION_KINDS = ("horizon", "breakdown", "clipped", "invalid")
 SINGULARITY_CLASSES = ("none", "trivial", "nontrivial-a", "nontrivial-b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Termination:
     """Why a trajectory ended: horizon, breakdown(t_b), clipped(t) or invalid(t)."""
 
@@ -122,29 +126,63 @@ class SingularityReport:
                 f"N1={self.n1:.17g} N2={self.n2:.17g}")
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Time series of the state, its derived scalars, and the applied fields."""
+    """Time series of the state, its derived scalars, and the applied fields.
 
-    t: np.ndarray          # (n,)
-    v: np.ndarray          # (n, 3)
-    p: np.ndarray          # (n,)
-    c: np.ndarray          # (n,)
-    omega: np.ndarray      # (n, 3) columns omega0, omega1, omega2
-    termination: Termination
-    singularity: SingularityReport | None = None   # attached by tracking code
+    The samples are one read-only (n, 9) `table` in the CSV's column order:
+    t, vx, vy, vz, purity, coherence, omega0, omega1, omega2. `t` (n,), `v`
+    (n, 3), `p` (n,), `c` (n,) and `omega` (n, 3) are views of it, so a held
+    trajectory costs one array. The constructor takes those five arrays,
+    the `termination` and the `singularity` report that tracking code
+    attaches. Immutable: assigning any attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if len(self.t) == 0:
+    __slots__ = ("table", "termination", "singularity")
+
+    def __init__(self, t, v, p, c, omega, termination: Termination,
+                 singularity: SingularityReport | None = None):
+        table = np.column_stack([t, v, p, c, omega])
+        if table.shape[1] != 9:
+            raise ValidationError(f"trajectory needs 9 columns, got {table.shape[1]}")
+        if len(table) == 0:
             raise ValidationError("trajectory must contain at least one sample")
-        if np.any(np.diff(self.t) <= 0):
+        if np.any(np.diff(table[:, 0]) <= 0):
             raise ValidationError("trajectory times must be strictly increasing")
+        table.flags.writeable = False
+        self._hold(table, termination, singularity)
+
+    def _hold(self, table, termination, singularity) -> None:
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "termination", termination)
+        object.__setattr__(self, "singularity", singularity)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Trajectory is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):   # copy and pickle through the constructor
+        return Trajectory, (self.t, self.v, self.p, self.c, self.omega,
+                            self.termination, self.singularity)
+
+    t = property(lambda self: self.table[:, 0])
+    v = property(lambda self: self.table[:, 1:4])
+    p = property(lambda self: self.table[:, 4])
+    c = property(lambda self: self.table[:, 5])
+    omega = property(lambda self: self.table[:, 6:9])
+
+    def _sharing(self, termination, singularity) -> "Trajectory":
+        """A trajectory on this one's table, not copied, with another end or report."""
+        traj = object.__new__(Trajectory)
+        traj._hold(self.table, termination, singularity)
+        return traj
 
     def with_termination(self, termination: Termination) -> "Trajectory":
-        return replace(self, termination=termination)
+        return self._sharing(termination, self.singularity)
 
     def with_singularity(self, report) -> "Trajectory":
-        return replace(self, singularity=report)
+        return self._sharing(self.termination, report)
 
 
 def _solve(rhs, t_span, y0, cfg: IntegratorConfig, t_eval=None, events=None):
@@ -158,9 +196,15 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
     """Integrate on the caller's grid with `_solve`, splitting at field discontinuities.
 
     One solver run per smooth waveform segment samples the grid through
-    t_eval, so internal steps can span grid intervals. Returns (ys, n_ok):
-    samples of shape (len(grid), dim) and the number of grid points reached
-    (the rest NaN if the solver stops early, as on a non-finite state or rate).
+    t_eval, so internal steps can span grid intervals. A segment that ends
+    at a breakpoint, the grid's last time included, evaluates `rhs` at
+    min(t, nextafter(b, a)): its last Dormand-Prince stages, at t = b, see
+    the segment's own fields and not the next one's, so the step controller
+    never resolves a jump outside [a, b] (Hairer, Norsett and Wanner,
+    Solving ODEs I, sec. II.6). A segment ending at a smooth grid end is
+    integrated as it is. Returns (ys, n_ok): samples of shape
+    (len(grid), dim) and the number of grid points reached (the rest NaN if
+    the solver stops early, as on a non-finite state or rate).
     """
     grid = np.asarray(grid, dtype=float)
     ys = np.full((len(grid), len(y0)), np.nan, dtype=np.asarray(y0).dtype)
@@ -171,12 +215,17 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
         return ys, n_ok
     t0, t1 = grid[0], grid[-1]
     edges = np.array([t0, *(b for b in breakpoints if t0 < b < t1), t1])
+    jumps = set(breakpoints)
     for a, b in zip(edges[:-1], edges[1:]):
         sel = np.nonzero((grid > a) & (grid <= b))[0]
         targets = grid[sel]
         if len(targets) == 0 or targets[-1] != b:
             targets = np.append(targets, b)
-        sol = _solve(rhs, (a, b), y, cfg, t_eval=targets)
+        f = rhs
+        if b in jumps:
+            def f(t, x, last=math.nextafter(b, a)):
+                return rhs(min(t, last), x)
+        sol = _solve(f, (a, b), y, cfg, t_eval=targets)
         reached = min(len(sol.t), len(sel))
         if reached:
             ys[sel[:reached]] = sol.y[:, :reached].T
@@ -417,11 +466,10 @@ CSV_HEADER = "t,vx,vy,vz,purity,coherence,omega0,omega1,omega2"
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory in the documented CSV format (17 significant digits)."""
-    data = np.column_stack([traj.t, traj.v, traj.p, traj.c, traj.omega])
     comments = [f"# termination={traj.termination.label()}"]
     if traj.singularity is not None:
         comments.append(traj.singularity.comment_line())
-    write_table(path, CSV_HEADER.split(","), data.tolist(), comments)
+    write_table(path, CSV_HEADER.split(","), traj.table.tolist(), comments)
 
 
 def _parse_singularity(spec: str):

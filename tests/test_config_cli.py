@@ -311,15 +311,27 @@ class TestCLITrajectories:
         assert err.startswith("error: waveform fields at t = 0 must be finite")
         assert err.count("\n") == 1
 
-    @pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
-        "ROADMAP item 13: a rate near the float maximum overflows the sum of "
-        "two eigenvalues in the dephasing-class test, with a numpy warning"))
-    def test_rate_near_the_float_maximum_is_an_exit_code(self, tmp_path):
+    def test_rate_near_the_float_maximum_is_an_exit_code(self, tmp_path, capsys):
+        # 2 gamma overflows past 8.99e307: refused at the input boundary, as
+        # one error line, before any formula sums or doubles the rate.
         obj = dict(TRACK_CONFIG, channel={"type": "dephasing", "gamma": 1e308},
                    initial_state={"coherence": 0.0, "purity": 1.0, "phase": 0.0},
                    control={"mode": "track", "omega0": 0.0}, t_max=1.0, samples=2)
-        cfg = write_config(tmp_path, obj)
-        assert main(["--out-dir", str(tmp_path), "track", cfg]) in (0, 1, 2)
+        assert main(["--out-dir", str(tmp_path), "track", write_config(tmp_path, obj)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2 gamma overflows" in err
+        assert err.count("\n") == 1
+        below = dict(obj, channel={"type": "dephasing", "gamma": 8.98e307})
+        assert main(["--out-dir", str(tmp_path), "track",
+                     write_config(tmp_path, below, "below.json")]) == 0
+
+    def test_sweep_rate_near_the_float_maximum_is_an_exit_code(self, tmp_path, capsys):
+        spec = {"gamma": 1e308, "c": {"min": 0.1, "max": 0.5, "count": 2},
+                "p": {"min": 0.6, "max": 1.0, "count": 2}}
+        assert main(["--out-dir", str(tmp_path), "sweep",
+                     write_config(tmp_path, spec, "sweep.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep.gamma: ") and err.count("\n") == 1
 
     def test_infinite_phase_is_one_error_line(self, tmp_path, capsys):
         obj = dict(TRACK_CONFIG,

@@ -1,6 +1,7 @@
 """Propagation in both pictures, waveforms, and trajectory serialization."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cohtrack.dynamics import (
     CSV_HEADER,
     IntegratorConfig,
     Termination,
+    Trajectory,
     _integrate,
     _trajectory,
     free_dephasing_analytic,
@@ -39,7 +41,7 @@ from cohtrack.tracking import (
     tracking_fields_dephasing,
     vz_tracked,
 )
-from cohtrack.waveform import ControlWaveform
+from cohtrack.waveform import ControlWaveform, segment_index
 
 V0 = CoherenceVector(0.39, 0.39, 1.0 / math.sqrt(2.0))
 ZERO_CHANNEL = BlochChannel(np.zeros((3, 3)), np.zeros(3))
@@ -778,6 +780,95 @@ class TestPropagateDensity:
         assert np.max(np.abs(tb.v - td.v)) <= 1e-8
 
 
+class _RecordingSolves:
+    """Field evaluations made inside each solver run, by the run's span.
+
+    `fields(func)` wraps a field function, and `solve_ivp` is the solver
+    that records which span is being solved while it runs.
+    """
+
+    def __init__(self):
+        self.span, self.seen = None, []
+
+    def fields(self, func):
+        def recorded(t):
+            if self.span is not None:
+                self.seen.append((self.span, float(t)))
+            return func(t)
+        return recorded
+
+    def solve_ivp(self, fun, t_span, *args, **kwargs):
+        self.span = tuple(map(float, t_span))
+        try:
+            return solve_ivp(fun, t_span, *args, **kwargs)
+        finally:
+            self.span = None
+
+
+PIECEWISE_STARTS = (0.0, 0.7, 1.3, 2.0)
+PIECEWISE_TRIPLES = ((1.0, 2.0, -0.5), (-1.5, 0.3, 2.0), (0.5, -2.0, 1.0), (2.0, 1.0, 0.0))
+
+
+class TestSegmentEnds:
+    """No right-hand-side call of a segment that ends at a breakpoint sees the
+    fields past it: every stage time is clamped to one ulp below the end."""
+
+    A = GKSMatrix(np.diag([0.04, 0.05, 0.03]).astype(complex))
+
+    def _piecewise(self, recorder):
+        # The three-segment waveform of the goldens, with a fourth from 2.0 on,
+        # evaluated through a recording field function.
+        def step(t):
+            return PIECEWISE_TRIPLES[segment_index(PIECEWISE_STARTS, t)]
+        return ControlWaveform(recorder.fields(step), breakpoints=PIECEWISE_STARTS[1:])
+
+    def _run(self, monkeypatch, route, w, t_max):
+        recorder = _RecordingSolves()
+        monkeypatch.setattr(dynamics, "solve_ivp", recorder.solve_ivp)
+        w = w(recorder)
+        if route == "density":
+            traj = propagate_density(self.A, w, bloch_to_density(V0), t_max, n_samples=11)
+        else:
+            traj = propagate_bloch(gks_to_channel(self.A)[1], w, V0, t_max, n_samples=11)
+        assert traj.termination == Termination("horizon")
+        return recorder.seen
+
+    @pytest.mark.parametrize("route", ["density", "bloch"])
+    @pytest.mark.parametrize("t_max", [2.0, 1.3])   # 2.0 and 1.3 are segment starts
+    def test_each_segment_sees_its_own_triple(self, monkeypatch, route, t_max):
+        seen = self._run(monkeypatch, route, self._piecewise, t_max)
+        spans = sorted({span for span, _ in seen})
+        assert spans == [(a, b) for a, b in zip(PIECEWISE_STARTS, PIECEWISE_STARTS[1:])
+                         if b <= t_max]
+        for (a, b), t in seen:
+            assert a <= t < b, (a, b, t)
+        assert max(t for _, t in seen) == math.nextafter(t_max, 0.0)
+
+    @pytest.mark.parametrize("route", ["density", "bloch"])
+    def test_sampled_kinks_bound_every_stage(self, monkeypatch, route):
+        grid = np.linspace(0.0, 2.0, 9)
+
+        def sampled(recorder):
+            w = ControlWaveform.sampled(grid, np.column_stack(
+                [3.0 + np.sin(grid), 2.0 * np.cos(grid), -np.sin(2.0 * grid)]))
+            return ControlWaveform(recorder.fields(w.unchecked()),
+                                   breakpoints=w.breakpoints)
+
+        seen = self._run(monkeypatch, route, sampled, 2.0)
+        assert sorted({span for span, _ in seen}) == list(zip(grid[:-1].tolist(),
+                                                              grid[1:].tolist()))
+        for (a, b), t in seen:
+            assert a <= t < b, (a, b, t)
+
+    def test_a_smooth_grid_end_is_not_clamped(self, monkeypatch):
+        # One segment, no breakpoint: the solve may evaluate at its end.
+        seen = self._run(monkeypatch, "density",
+                         lambda r: ControlWaveform(r.fields(lambda t: (1.0, 0.5, -0.5))),
+                         2.0)
+        assert {span for span, _ in seen} == {(0.0, 2.0)}
+        assert max(t for _, t in seen) == 2.0
+
+
 def _trajectory_end_by_loop(grid, vs, n_ok, cfg, end):
     """Reference: the termination scan of `_trajectory`, one sample at a time."""
     norm_cap = 1.0 + 10.0 * cfg.rtol
@@ -856,6 +947,51 @@ class TestTermination:
     def test_non_horizon_kind_needs_time(self, kind):
         with pytest.raises(ValidationError, match="time"):
             Termination(kind)
+
+
+class TestTrajectoryTable:
+    """A trajectory holds its samples as one read-only table in the CSV's order."""
+
+    def _traj(self):
+        return propagate_bloch(BlochChannel.dephasing(0.1), ControlWaveform.constant(1.0, 0.5),
+                               V0, 2.0, n_samples=9)
+
+    def test_columns_are_views_of_the_table(self):
+        traj = self._traj()
+        assert traj.table.shape == (9, 9)
+        for name, cols in (("t", 0), ("v", slice(1, 4)), ("p", 4), ("c", 5),
+                           ("omega", slice(6, 9))):
+            view = getattr(traj, name)
+            assert np.shares_memory(view, traj.table), name
+            assert np.array_equal(view, traj.table[:, cols])
+        for other in (traj.with_termination(Termination("clipped", 1.0)),
+                      traj.with_singularity(None)):
+            assert other.table is traj.table
+
+    def test_assignment_raises(self):
+        traj = self._traj()
+        for name in ("t", "v", "table", "termination", "singularity"):
+            with pytest.raises(AttributeError):
+                setattr(traj, name, None)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.v[0, 0] = 1.0
+        copied = pickle.loads(pickle.dumps(traj))
+        assert copied.table.tobytes() == traj.table.tobytes()
+        assert copied.termination == traj.termination
+
+    def test_positional_constructor_builds_the_table(self):
+        traj = self._traj()
+        again = Trajectory(traj.t, traj.v, traj.p, traj.c, traj.omega, traj.termination)
+        assert np.array_equal(again.table, traj.table) and again.singularity is None
+        with pytest.raises(ValidationError, match="9 columns"):
+            Trajectory(traj.t, traj.v[:, :2], traj.p, traj.c, traj.omega, traj.termination)
+
+    def test_csv_round_trip_is_bit_identical(self, tmp_path):
+        traj = self._traj()
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+        back = read_trajectory_csv(tmp_path / "traj.csv")
+        assert back.table.tobytes() == traj.table.tobytes()
+        assert back.termination == traj.termination
 
 
 class TestTrajectoryCSV:
