@@ -15,11 +15,13 @@ Any other waveform takes the identity map sigma = t about the zero state:
 RK45 on v itself. A piecewise-constant waveform is all exact steps, an
 unclipped tracking waveform all RK45, and a clipped one takes RK45 up to its
 last clamp and exact steps on its saturated tail. The density route stays on
-RK45. Each RK45 solve is one `_solve` call; a non-finite run ends `invalid`.
-RK45 runs one solve per segment between breakpoints, and no stage of a
-segment that ends at a breakpoint evaluates the fields past it. Either
-route returns a `Trajectory`, whose samples are one (n, 9) table in the
-CSV's column order.
+RK45: on segments where the waveform's `segments` hold the fields its
+right-hand side is one constant generator times the state, elsewhere the
+generator of the fields at each stage time. Each RK45 solve is one `_solve`
+call; a non-finite run ends `invalid`. RK45 runs one solve per segment
+between breakpoints, and no stage of a segment that ends at a breakpoint
+evaluates the fields past it. Either route returns a `Trajectory`, whose
+samples are one (n, 9) table in the CSV's column order.
 
 hbar = 1 throughout; rates and frequencies share inverse-time units.
 """
@@ -61,6 +63,14 @@ def _commutator_superop(h: np.ndarray) -> np.ndarray:
 _COMM_Z = _commutator_superop(0.5 * SIGMA_Z)
 _COMM_X = _commutator_superop(0.5 * SIGMA_X)
 _COMM_MY = _commutator_superop(-0.5 * SIGMA_Y)
+
+# Dissipator superoperators on the row-major vectorization, vec(F_i x F_j) =
+# (F_i kron F_j^t) vec(x): entry [i, j] is F_i kron F_j^t - (1/2) F_j F_i
+# kron I - (1/2) I kron (F_j F_i)^t, for the GKS coefficient a_ij.
+_DISSIPATOR_BASIS = np.array([[np.kron(fi, fj.T)
+                               - 0.5 * np.kron(fj @ fi, np.eye(2))
+                               - 0.5 * np.kron(np.eye(2), (fj @ fi).T)
+                               for fj in PAULIS] for fi in PAULIS])
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,7 @@ def _solve(rhs, t_span, y0, cfg: IntegratorConfig, t_eval=None, events=None):
                          events=events, rtol=cfg.rtol, atol=cfg.atol)
 
 
-def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
+def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=(), held=None):
     """Integrate on the caller's grid with `_solve`, splitting at field discontinuities.
 
     One solver run per smooth waveform segment samples the grid through
@@ -202,7 +212,10 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
     the segment's own fields and not the next one's, so the step controller
     never resolves a jump outside [a, b] (Hairer, Norsett and Wanner,
     Solving ODEs I, sec. II.6). A segment ending at a smooth grid end is
-    integrated as it is. Returns (ys, n_ok): samples of shape
+    integrated as it is. `held`, if given, is (start, rhs_at): the fields
+    are constant between breakpoints from `start` on, and a segment [a, b]
+    with a >= start integrates `rhs_at(a)` instead, which gives what `rhs`
+    gives there at any time. Returns (ys, n_ok): samples of shape
     (len(grid), dim) and the number of grid points reached (the rest NaN if
     the solver stops early, as on a non-finite state or rate).
     """
@@ -222,7 +235,9 @@ def _integrate(rhs, y0, grid, cfg: IntegratorConfig, breakpoints=()):
         if len(targets) == 0 or targets[-1] != b:
             targets = np.append(targets, b)
         f = rhs
-        if b in jumps:
+        if held is not None and a >= held[0]:
+            f = held[1](a)
+        elif b in jumps:
             def f(t, x, last=math.nextafter(b, a)):
                 return rhs(min(t, last), x)
         sol = _solve(f, (a, b), y, cfg, t_eval=targets)
@@ -400,42 +415,42 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
 
     Independent oracle for `propagate_bloch`: the right-hand side is built
     from 2x2 matrix algebra only and never touches the affine (m0, k) form.
+    It is G @ rho on the row-major vectorization, with G the dissipator plus
+    the commutator superoperators of the fields. RK45 runs one solve per
+    segment between breakpoints; on a segment where the waveform's
+    `segments` hold the fields G is built once, elsewhere at each stage time
+    from the fields there. Each kept sample is read out as Tr(rho sigma_j).
     """
     cfg = cfg or IntegratorConfig()
     grid, end = _output_grid(t_max, w.t_end, n_samples)
     fields = w.unchecked()   # every time below lies in [0, grid[-1]]
-    # Precompute the dissipator as a 4x4 superoperator on the row-major
-    # vectorization: vec(F_i x F_j) = (F_i kron F_j^t) vec(x).
-    eye = np.eye(2)
     dissipator = np.zeros((4, 4), dtype=complex)
-    for i, fi in enumerate(PAULIS):
-        for j, fj in enumerate(PAULIS):
-            aij = a.matrix[i, j]
-            if aij == 0:
-                continue
-            fjfi = fj @ fi
-            dissipator += aij * (np.kron(fi, fj.T)
-                                 - 0.5 * np.kron(fjfi, eye)
-                                 - 0.5 * np.kron(eye, fjfi.T))
+    for (i, j), aij in np.ndenumerate(a.matrix):
+        if aij != 0:
+            dissipator += aij * _DISSIPATOR_BASIS[i, j]
 
-    # The generator of the last field triple; a piecewise-constant waveform
-    # returns the same triple object all along a segment.
-    last, gen = None, None
+    def generator(triple):
+        w0, w1, w2 = triple
+        return dissipator + w0 * _COMM_Z + w1 * _COMM_X + w2 * _COMM_MY
 
     def rhs(t, y):
-        nonlocal last, gen
-        triple = fields(t)
-        if triple is not last:
-            w0, w1, w2 = triple
-            last, gen = triple, dissipator + w0 * _COMM_Z + w1 * _COMM_X + w2 * _COMM_MY
-        return gen @ y
+        return generator(fields(t)) @ y
 
+    held = None
+    if w.segments is not None:
+        starts, triples = w.segments
+
+        def held_rhs(start):
+            gen = generator(triples[segment_index(starts, start)])
+            return lambda t, y: gen @ y
+
+        held = (starts[0], held_rhs)
     y0 = rho0.matrix.ravel().astype(complex)
-    ys, n_ok = _integrate(rhs, y0, grid, cfg, w.breakpoints)
+    ys, n_ok = _integrate(rhs, y0, grid, cfg, w.breakpoints, held)
+    rhos = ys[:n_ok].reshape(-1, 2, 2)
     vs = np.full((len(grid), 3), np.nan)
-    for i in range(n_ok):
-        rho = ys[i].reshape(2, 2)
-        vs[i] = [np.trace(rho @ s).real for s in PAULIS]
+    for j, s in enumerate(PAULIS):
+        vs[:n_ok, j] = np.trace(rhos @ s, axis1=1, axis2=2).real
     return _trajectory(grid, vs, n_ok, cfg, end, lambda g, _: w.table(g))
 
 

@@ -87,7 +87,8 @@ class _DephasingTerms:
     """The closed-form dephasing solution from one state, time counted from it.
 
     |v_z(t)| = w(t) = sqrt(max(0, vz0_sq - two_gamma_c t)), at one time or at
-    each of a time array, and v_z(t) = sign w(t). The fields are
+    each of a time array, and v_z(t) = sign w(t); with two_gamma_c = 0 it is
+    sqrt(vz0_sq) at every time, t = inf included. The fields are
     omega_i(t) = num_i / w(t), the sign folded into num_i; `denominator`
     and `fields` refuse times where w is not positive, from t_b on.
     """
@@ -100,7 +101,9 @@ class _DephasingTerms:
     t_b: float
 
     def w(self, t):
-        return np.sqrt(np.maximum(0.0, self.vz0_sq - self.two_gamma_c * t))
+        # 0 * inf is NaN; nothing moves v_z when two_gamma_c is 0.
+        drop = self.two_gamma_c * t if self.two_gamma_c else np.zeros_like(t, dtype=float)
+        return np.sqrt(np.maximum(0.0, self.vz0_sq - drop))
 
     def denominator(self, t: float) -> float:
         w = float(self.w(t))
@@ -256,7 +259,10 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     bounded up to t_b. The clamps are kinks at w = |num| / omega_max, and T
     maps to the w of its clamp exactly. Times that this map does not send to
     strictly increasing sigma (a horizon too short for w to resolve) get the
-    identity map sigma = t with the constant reference v*(0) instead.
+    identity map sigma = t with the constant reference v*(0) instead, and so
+    does every run of a waveform whose drive turns the state by more than a
+    radian in RK45's shortest step in sigma, 10 ulps of w0 (then every run
+    RK45 can finish spans a sliver of w).
     """
     terms = _dephasing_terms(v0, gamma, omega0)
     level = math.inf if omega_max is None else omega_max
@@ -304,10 +310,18 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     kinks = tuple(sorted(t for t in clamps if 0.0 < t < terms.t_b))
     sigma_kinks = tuple(sorted(-abs(num) / level for num in nums
                                if 0.0 < abs(num) / level < w0))
+    # scipy's RK45 takes no step shorter than 10 ulps of sigma. The scaled
+    # generator dt/dsigma m0 + M is largest at sigma = -w0, and where even
+    # that shortest step moves the deviation by more than its own size, RK45
+    # in sigma fails at any horizon. Such a waveform takes the identity map:
+    # a run spanning S in sigma turns the state by about S / (10 ulp(w0))
+    # radians or more, so any run RK45 in t can finish spans a sliver of w.
+    dt0, *scaled0 = drive(-w0)
+    in_sigma = 10.0 * math.ulp(w0) * (dt0 * gamma + math.hypot(*scaled0)) <= 1.0
 
     def reference(ts):
         sigma = np.where(ts < t_hold, -terms.w(ts), -w_hold)
-        if np.all(np.diff(sigma) > 0.0):
+        if in_sigma and np.all(np.diff(sigma) > 0.0):
             return Reference(sigma, sigma_kinks, drive, (v0.vx, v0.vy, 0.0),
                              (0.0, 0.0, -terms.sign))
         return Reference.identity(ts, kinks, fields, (v0.vx, v0.vy, terms.sign * w0))

@@ -73,10 +73,9 @@ class ControlWaveform:
     Parameters
     ----------
     func : callable
-        Maps a time t to a length-3 sequence (omega0, omega1, omega2). A
-        returned sequence must not be changed afterwards: callers may keep
-        it and reuse what they derived from it while the same object comes
-        back.
+        Maps a time t to a length-3 sequence (omega0, omega1, omega2).
+        Callers read the sequence as it is returned, so a function may
+        return one list that it changes from call to call.
     t_end : float or None
         End of the domain of definition (exclusive), positive; None or inf
         means unbounded.
@@ -154,11 +153,12 @@ class ControlWaveform:
 
         Call `unchecked()` first, as for the raw field function. A tracking
         waveform evaluates its clamped law over the whole grid at once, and
-        its raw function is one row of that; any other is called at each time.
+        its raw function is one row of that; any other is called at each time,
+        and each row is copied as it comes back.
         """
         if self._table is not None:
             return self._table(grid)
-        return np.array([self._func(t) for t in grid.tolist()], dtype=float)
+        return np.array([tuple(self._func(t)) for t in grid.tolist()], dtype=float)
 
     @classmethod
     def zero(cls) -> "ControlWaveform":

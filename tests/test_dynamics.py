@@ -13,9 +13,11 @@ from cohtrack import dynamics
 from cohtrack.bloch import (
     BlochChannel,
     CoherenceVector,
+    DensityMatrix,
     GKSMatrix,
     bloch_to_density,
     control_matrix,
+    density_to_bloch,
     gks_to_channel,
 )
 from cohtrack.dynamics import (
@@ -778,6 +780,77 @@ class TestPropagateDensity:
         tb = propagate_bloch(ch, w, V0, 2.0, n_samples=21)
         td = propagate_density(a, w, bloch_to_density(V0), 2.0, n_samples=21)
         assert np.max(np.abs(tb.v - td.v)) <= 1e-8
+
+    @pytest.mark.parametrize("n_seg", range(1, 14))
+    def test_held_segments_match_the_per_call_route(self, n_seg):
+        # A piecewise-constant waveform's segments integrate one generator
+        # each; the same fields as a plain function, which has no segments,
+        # build the generator at every stage time. Odd counts are unital.
+        rng = np.random.default_rng([n_seg, 29])
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = GKSMatrix(0.1 * (g.real @ g.real.T if n_seg % 2 else g @ g.conj().T))
+        edges = np.unique([0.0, *rng.uniform(0.0, 2.0, n_seg - 1), 2.0])
+        held = ControlWaveform.piecewise_constant(
+            edges, rng.uniform(-3.0, 3.0, (len(edges) - 1, 3)))
+        starts, triples = held.segments
+
+        def step(t):
+            return triples[segment_index(starts, t)]
+
+        per_call = ControlWaveform(step, breakpoints=held.breakpoints)
+        assert per_call.segments is None
+        rho0 = bloch_to_density(V0)
+        got = propagate_density(a, held, rho0, 2.0, n_samples=11)
+        want = propagate_density(a, per_call, rho0, 2.0, n_samples=11)
+        assert got.termination == want.termination == Termination("horizon")
+        assert np.array_equal(got.table, want.table)
+
+    @pytest.mark.parametrize("waveform", ["piecewise", "tracked"])
+    def test_read_out_is_the_bloch_vector_of_each_sample(self, monkeypatch, waveform):
+        integrated = []
+
+        def recording_integrate(*args, **kwargs):
+            integrated.append(_integrate(*args, **kwargs))
+            return integrated[-1]
+
+        monkeypatch.setattr(dynamics, "_integrate", recording_integrate)
+        a = GKSMatrix(np.diag([0.02, 0.01, 0.05]).astype(complex))
+        if waveform == "piecewise":
+            w = ControlWaveform.piecewise_constant(
+                [0.0, 0.7, 2.0], [[1.0, -0.5, 0.3], [-0.2, 0.8, -1.1]])
+        else:
+            w = tracked_waveform(V0, 0.1, 4.0, 3.0)
+        traj = propagate_density(a, w, bloch_to_density(V0), 2.0, n_samples=21)
+        [(ys, n_ok)] = integrated
+        assert n_ok == len(traj.t) == 21
+        for rho, v in zip(ys, traj.v):
+            want = density_to_bloch(DensityMatrix(rho.reshape(2, 2))).as_array()
+            assert np.array_equal(v, want)
+
+    @pytest.mark.parametrize("route", ["density", "bloch"])
+    def test_a_field_function_may_reuse_its_list(self, route):
+        def fresh(t):
+            return (1.0 + 0.5 * t, math.sin(3.0 * t), -0.4 * t)
+
+        shared = [0.0, 0.0, 0.0]
+
+        def reused(t):
+            shared[:] = fresh(t)
+            return shared
+
+        a = GKSMatrix(np.diag([0.02, 0.01, 0.05]).astype(complex))
+        runs = []
+        for func in (fresh, reused):
+            w = ControlWaveform(func, breakpoints=(0.9,))
+            if route == "density":
+                runs.append(propagate_density(a, w, bloch_to_density(V0), 2.0, n_samples=11))
+            else:
+                runs.append(propagate_bloch(gks_to_channel(a)[1], w, V0, 2.0, n_samples=11))
+        got, want = runs
+        assert got.termination == want.termination == Termination("horizon")
+        assert np.array_equal(got.v, want.v)
+        assert np.array_equal(got.omega, want.omega)
+        assert len(np.unique(want.omega[:, 1])) == 11
 
 
 class _RecordingSolves:

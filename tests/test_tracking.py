@@ -125,6 +125,15 @@ class TestTrackedSolution:
         down = CoherenceVector(V0.vx, V0.vy, -V0.vz)
         assert vz_tracked(down, GAMMA, 1.0) < 0
 
+    @pytest.mark.parametrize("v0, gamma", [(V0, 0.0), (CoherenceVector(0.0, 0.0, -0.6), 0.3)],
+                             ids=["no-dephasing", "no-coherence"])
+    def test_vz_without_decay_holds_at_every_time(self, v0, gamma):
+        # 2 gamma c = 0 leaves t_b = inf, and 0 * inf must not read as NaN.
+        want = vz_tracked(v0, gamma, 0.0)
+        assert want == pytest.approx(v0.vz, rel=1e-15)
+        for t in (1.0, 1e300, math.inf):
+            assert vz_tracked(v0, gamma, t) == want
+
     def test_vz_past_breakdown_rejected(self):
         with pytest.raises(PastBreakdownError):
             vz_tracked(V0, GAMMA, T_B + 0.1)
@@ -875,12 +884,14 @@ class TestTrackedTermination:
     """ROADMAP item 6: a z-dephasing tracked run ends `horizon`, `breakdown` at
     t_b or `clipped` at the clip time, or raises DomainError; never `invalid`.
 
-    The property leaves out four regions. The strict xfails below pin a
-    case that fails in each of three: unclipped fields that turn the state
-    by more than about 200 rad (ROADMAP item 11, unbounded work; held from 0
-    they also lose the state), held clipped fields with |Omega| dt above 1e10
-    per exact step, and horizons below 1e-6 t_b. The fourth, a t_max whose
-    uniform grid rounds to repeated times, raises DomainError.
+    The property leaves out three regions. The strict xfails below pin a
+    case that fails in each of two: unclipped fields that turn the state by
+    more than about 200 rad (ROADMAP item 11, unbounded work; held from 0
+    they also lose the state) and held clipped fields with |Omega| dt above
+    1e10 per exact step. The third, a t_max whose uniform grid rounds to
+    repeated times, raises DomainError. Horizons far below t_b are covered;
+    the plain tests below pin two that ended invalid while RK45 ran them in
+    sigma.
     """
 
     @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.0, 1.0),
@@ -907,7 +918,6 @@ class TestTrackedTermination:
         # 2 |omega(0)| min(t_max, t_b).
         assume(math.hypot(w1, w2) * min(t_max, t_b) <= 100.0)
         assume(level is None or level * t_max / (n_samples - 1) <= 1e10)
-        assume(t_b == math.inf or t_max >= 1e-6 * t_b)
         traj = simulate_tracked(ch, v0, omega0, t_max, level, n_samples)
         end = traj.termination
         assert (end.kind == "breakdown") == (level is None and t_b * (1 - 1e-6) <= t_max)
@@ -938,14 +948,23 @@ class TestTrackedTermination:
                                 n_samples=10)
         assert traj.termination == Termination("clipped", clip_time(v0, 1e-3, -1.0, 1e12))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: with t_max = 2e-14 t_b "
-                       "the run's times span 63 ulps of w, RK45 cannot step below "
-                       "that spacing, and the run ends invalid")
     def test_a_horizon_far_below_breakdown_ends_horizon(self):
+        # t_max = 2e-14 t_b: the run's times span 63 ulps of w, and RK45's
+        # shortest step in sigma, 10 ulps, turns the state by about 6 rad.
         v0 = CoherenceVector(math.sqrt(0.3), math.sqrt(0.2), math.sqrt(0.5))
         traj = simulate_tracked(BlochChannel.dephasing(1e-15), v0, OMEGA0, 10.0,
                                 n_samples=11)
         assert traj.termination == Termination("horizon")
+
+    def test_a_stiff_drive_in_sigma_ends_horizon(self):
+        # c = 9e-18: dt/dsigma times gamma is w/c, so RK45's shortest step in
+        # sigma decays the deviation by about 60 times its size; the run's
+        # times span 324 ulps of w. In sigma the run ended invalid at t = 6.
+        v0 = CoherenceVector(3e-9, 0.0, 0.5)
+        traj = simulate_tracked(BlochChannel.dephasing(100.0), v0, 0.0, 20.0,
+                                n_samples=11)
+        assert traj.termination == Termination("horizon")
+        assert np.max(np.abs(traj.v - v0.as_array())) <= 1e-10   # the held state
 
     def test_a_horizon_below_the_sample_spacing_raises_a_domain_error(self):
         with pytest.raises(DomainError):
