@@ -11,8 +11,9 @@ from a reference state (Encke's method) in the variable a `Reference` maps
 time to. For a tracking waveform that is the state its fields hold, in
 w = |v_z*(t)| for tracked dephasing runs (a Sundman-type change of time),
 in which the fields scaled by dt/dw stay bounded up to the breakdown time.
-Any other waveform takes the identity map sigma = t about the zero state:
-RK45 on v itself. A piecewise-constant waveform is all exact steps, an
+A run that cannot step in that variable (`propagate_bloch` alone decides)
+takes sigma = t about its start state, and any other waveform about the zero
+state: RK45 on v itself. A piecewise-constant waveform is all exact steps, an
 unclipped tracking waveform all RK45, and a clipped one takes RK45 up to its
 last clamp and exact steps on its saturated tail. The density route stays on
 RK45: on segments where the waveform's `segments` hold the fields its
@@ -279,14 +280,14 @@ def _exact_steps(ch: BlochChannel, segments, t0: float, v0: np.ndarray,
     return np.array(xs)[np.searchsorted(times, grid), 1:]
 
 
-def _deviation_steps(ch: BlochChannel, ref: Reference, v0: np.ndarray,
-                     cfg: IntegratorConfig):
-    """RK45 samples of v = v*(sigma) + e at `ref.sigma`, integrating the deviation e.
+def _deviation_steps(ch: BlochChannel, ref: Reference, sigma: np.ndarray,
+                     v0: np.ndarray, cfg: IntegratorConfig):
+    """RK45 samples of v = v*(sigma) + e at the strictly increasing `sigma`, integrating e.
 
     With v*(sigma) = origin + sigma slope and the drive (dt/dsigma, omega_j
     dt/dsigma) of `ref`, e obeys de/dsigma = dt/dsigma (m0 v + k) + M v -
     slope, M built from the scaled fields, with e = v0 - v*(sigma_0) at the
-    first of `ref.sigma`: an exact change of variable for any reference
+    first of `sigma`: an exact change of variable for any reference
     (Encke's method; Battin, AIAA 1999) and any monotone map of time
     (Sundman's; Stiefel and Scheifele, 1971). When v* is what the fields
     hold, e stays small and smooth, so the steps are no longer limited by
@@ -308,8 +309,8 @@ def _deviation_steps(ch: BlochChannel, ref: Reference, v0: np.ndarray,
                          dt * (m10 * x + m11 * y + m12 * z + k1) + w0 * x - w1 * z - q1,
                          dt * (m20 * x + m21 * y + m22 * z + k2) + w2 * x + w1 * y - q2])
 
-    states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
-    es, n_ok = _integrate(rhs, v0 - states[0], ref.sigma, cfg, ref.breakpoints)
+    states = np.asarray(ref.origin) + sigma[:, None] * np.asarray(ref.slope)
+    es, n_ok = _integrate(rhs, v0 - states[0], sigma, cfg, ref.breakpoints)
     return es + states, n_ok
 
 
@@ -373,14 +374,16 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     RK45 at `cfg` runs up to the first start of the waveform's `segments`
     (all the way without them), on the deviation e = v - v*(sigma) in the
     variable sigma of the waveform's `reference`, reporting v* + e at the
-    grid's sigma, so that `atol` bounds the deviation's local error. A
-    waveform without a `reference` takes `Reference.identity` about the
-    zero state: e = v in sigma = t. From that start on, exact steps, one
-    matrix exponential per step between grid points and segment starts,
-    carry the state reached there. So a piecewise-constant waveform is all
-    exact steps (`cfg.rtol` then only sets the 1 + 10*rtol cap below), and a
-    clipped tracking waveform takes RK45 up to its last clamp and exact
-    steps on its saturated tail.
+    grid's sigma, so that `atol` bounds the deviation's local error. Here
+    alone a run whose times do not map to increasing sigma, or whose drive
+    at sigma_0 is too stiff for RK45's shortest step there, falls back to
+    `Reference.identity` about v*(sigma_0), as a waveform without a
+    `reference` does about the zero state: e = v in sigma = t. From that
+    start on, exact steps, one matrix exponential per step between grid
+    points and segment starts, carry the state reached there. So a
+    piecewise-constant waveform is all exact steps (`cfg.rtol` then only
+    sets the 1 + 10*rtol cap below), and a clipped tracking waveform takes
+    RK45 up to its last clamp and exact steps on its saturated tail.
 
     A waveform with a declared domain end below t_max yields a trajectory
     terminating with `breakdown` at that end. A state leaving the Bloch ball
@@ -396,9 +399,21 @@ def propagate_bloch(ch: BlochChannel, w: ControlWaveform, v0: CoherenceVector,
     ys, n_ok, v = np.full((len(grid), 3), np.nan), 0, v0.as_array()
     if split:
         head = grid if split == len(grid) else np.append(grid[:split], hold)
-        ref = (w.reference(head) if w.reference is not None
-               else Reference.identity(head, w.breakpoints, fields, (0.0, 0.0, 0.0)))
-        vs, n_ok = _deviation_steps(ch, ref, v, cfg)
+        ref, sigma, origin = w.reference, head, (0.0, 0.0, 0.0)
+        if ref is not None:
+            # scipy's RK45 takes no step below 10 ulps of sigma. Past 1, that
+            # step times the drive's size (dt/dsigma max|m0| of this channel
+            # plus the scaled fields' norm) fails RK45 in sigma at any horizon.
+            sigma = ref.to_sigma(head)
+            s0 = float(sigma[0])
+            dt0, *scaled0 = ref.drive(s0)
+            size = dt0 * float(np.max(np.abs(ch.m0))) + math.hypot(*scaled0)
+            if not (np.all(np.diff(sigma) > 0.0) and 10.0 * math.ulp(s0) * size <= 1.0):
+                origin = tuple((np.asarray(ref.origin) + s0 * np.asarray(ref.slope)).tolist())
+                ref, sigma = None, head
+        if ref is None:
+            ref = Reference.identity(w.breakpoints, fields, origin)
+        vs, n_ok = _deviation_steps(ch, ref, sigma, v, cfg)
         ys[:split], v = vs[:split], vs[-1]
     if split < len(grid):
         # A head that stopped short left v NaN, and the run ends `invalid`
@@ -455,10 +470,10 @@ def propagate_density(a: GKSMatrix, w: ControlWaveform, rho0: DensityMatrix,
 
 
 def free_dephasing_analytic(gamma: float, v0: CoherenceVector, t: float) -> CoherenceVector:
-    """Closed-form free pure-dephasing evolution of a Bloch vector."""
-    if gamma < 0:
+    """Closed-form free pure-dephasing evolution of a Bloch vector; refuses a NaN rate or time."""
+    if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be >= 0, got {t}")
     decay = math.exp(-gamma * t)
     return CoherenceVector(decay * v0.vx, decay * v0.vy, v0.vz)

@@ -105,9 +105,9 @@ def transport_waveform(w: ControlWaveform, r: Rotation3) -> ControlWaveform:
     The control matrix acts as the cross product with Omega = (w1, -w2, w0),
     which transforms as Omega' = R Omega. The waveform's `segments`, if any,
     are rotated the same way, so a held tail still takes exact steps. So is
-    its `reference`, if any: each `Reference` has its origin and slope
+    its `reference`, if any: the `Reference` has its origin and slope
     rotated by R and its drive's scaled fields rotated as the fields are,
-    with the same sigma, breakpoints and dt/dsigma, so a transported
+    with the same map to sigma, breakpoints and dt/dsigma, so a transported
     tracking waveform still integrates its deviation from the rotated state.
     """
     rm = r.matrix
@@ -124,18 +124,15 @@ def transport_waveform(w: ControlWaveform, r: Rotation3) -> ControlWaveform:
     if w.segments is not None:
         starts, triples = w.segments
         tail = (starts, tuple(map(rotate, triples)))
-    reference = None
-    if w.reference is not None:
-        def reference(ts):
-            ref = w.reference(ts)
+    ref = w.reference
+    if ref is not None:
+        def drive(sigma, unrotated=ref.drive):
+            dt, *scaled = unrotated(sigma)
+            return (dt, *rotate(scaled))
 
-            def drive(sigma):
-                dt, *scaled = ref.drive(sigma)
-                return (dt, *rotate(scaled))
-
-            return ref._replace(drive=drive, origin=tuple((rm @ ref.origin).tolist()),
-                                slope=tuple((rm @ ref.slope).tolist()))
-    return ControlWaveform._holding(rotated, w.t_end, reference, w.breakpoints, tail=tail)
+        ref = ref._replace(drive=drive, origin=tuple((rm @ ref.origin).tolist()),
+                           slope=tuple((rm @ ref.slope).tolist()))
+    return ControlWaveform._holding(rotated, w.t_end, ref, w.breakpoints, tail=tail)
 
 
 def _dephasing_spectrum(ch: BlochChannel):

@@ -65,7 +65,7 @@ def breakdown_time(v0: CoherenceVector, gamma: float) -> float:
 
 def _breakdown(vz0_sq, c, gamma: float):
     """(2 gamma c, t_b) from v_z(0)^2 and c, numbers or arrays: the one t_b formula."""
-    if gamma < 0:
+    if not gamma >= 0:   # a NaN rate too
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     two_gamma_c = 2.0 * gamma * np.asarray(c, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -118,7 +118,7 @@ class _DephasingTerms:
 
 def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float,
                      t: float = 0.0) -> _DephasingTerms:
-    """Checks gamma >= 0, v_z(0)^2 != 0 and t >= 0 and builds the closed-form terms."""
+    """Checks gamma >= 0, v_z(0)^2 != 0 and t >= 0, NaN failing, and builds the terms."""
     vz0_sq = v0.vz**2
     two_gamma_c, t_b = map(float, _breakdown(vz0_sq, coherence(v0), gamma))
     if v0.vz == 0.0:
@@ -128,7 +128,7 @@ def _dephasing_terms(v0: CoherenceVector, gamma: float, omega0: float,
         # subnormal radicand has too few digits to step back from t_b.
         raise DomainError(f"v_z(0)^2 underflows to {vz0_sq:g} (v_z(0) = {v0.vz!r}): "
                           "no control is possible")
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be >= 0, got {t}")
     s = 1.0 if v0.vz > 0 else -1.0
     return _DephasingTerms(
@@ -257,12 +257,9 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     dt/dsigma = w / (gamma c), and each field times dt/dsigma is
     omega0 w / (gamma c) or num / (gamma c) clamped to +-omega_max w / (gamma c),
     bounded up to t_b. The clamps are kinks at w = |num| / omega_max, and T
-    maps to the w of its clamp exactly. Times that this map does not send to
-    strictly increasing sigma (a horizon too short for w to resolve) get the
-    identity map sigma = t with the constant reference v*(0) instead, and so
-    does every run of a waveform whose drive turns the state by more than a
-    radian in RK45's shortest step in sigma, 10 ulps of w0 (then every run
-    RK45 can finish spans a sliver of w).
+    maps to the w of its clamp exactly. A run whose times or channel leave
+    RK45 no step in sigma integrates in t instead, about v*(0); that choice
+    is `propagate_bloch`'s, not the waveform's.
     """
     terms = _dephasing_terms(v0, gamma, omega0)
     level = math.inf if omega_max is None else omega_max
@@ -310,22 +307,8 @@ def tracked_waveform(v0: CoherenceVector, gamma: float, omega0: float,
     kinks = tuple(sorted(t for t in clamps if 0.0 < t < terms.t_b))
     sigma_kinks = tuple(sorted(-abs(num) / level for num in nums
                                if 0.0 < abs(num) / level < w0))
-    # scipy's RK45 takes no step shorter than 10 ulps of sigma. The scaled
-    # generator dt/dsigma m0 + M is largest at sigma = -w0, and where even
-    # that shortest step moves the deviation by more than its own size, RK45
-    # in sigma fails at any horizon. Such a waveform takes the identity map:
-    # a run spanning S in sigma turns the state by about S / (10 ulp(w0))
-    # radians or more, so any run RK45 in t can finish spans a sliver of w.
-    dt0, *scaled0 = drive(-w0)
-    in_sigma = 10.0 * math.ulp(w0) * (dt0 * gamma + math.hypot(*scaled0)) <= 1.0
-
-    def reference(ts):
-        sigma = np.where(ts < t_hold, -terms.w(ts), -w_hold)
-        if in_sigma and np.all(np.diff(sigma) > 0.0):
-            return Reference(sigma, sigma_kinks, drive, (v0.vx, v0.vy, 0.0),
-                             (0.0, 0.0, -terms.sign))
-        return Reference.identity(ts, kinks, fields, (v0.vx, v0.vy, terms.sign * w0))
-
+    reference = Reference(lambda ts: np.where(ts < t_hold, -terms.w(ts), -w_hold),
+                          sigma_kinks, drive, (v0.vx, v0.vy, 0.0), (0.0, 0.0, -terms.sign))
     t_end = None if level < math.inf else terms.t_b
     tail = ((t_hold,), (held,)) if t_hold < math.inf else None
     return ControlWaveform._holding(fields, t_end, reference, kinks, table, tail)
@@ -433,8 +416,10 @@ def detect_breakdown(ch: BlochChannel, v0: CoherenceVector, omega0: float,
     Integrates until |v_z| falls below DETECT_VZ_FLOOR and returns that time
     (inf if not before t_cap); used to cross-check the closed-form breakdown
     time independently, at the default tolerances of IntegratorConfig. A
-    solver that stops early raises DomainError.
+    NaN or negative t_cap, and a solver that stops early, raise DomainError.
     """
+    if not t_cap >= 0:
+        raise DomainError(f"t_cap must be >= 0, got {t_cap}")
     if v0.vz == 0.0:
         return 0.0
 

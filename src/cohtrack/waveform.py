@@ -7,8 +7,8 @@ and carry an optional end of domain `t_end` plus `breakpoints` at which the
 fields may be discontinuous or have a kink (integrators split there).
 Piecewise-constant waveforms carry their `segments`, from which
 `propagate_bloch` steps exactly. A tracking waveform carries its
-`reference`: the map from time to the variable sigma in which the state its
-fields hold is linear, and its fields in that variable (a `Reference`), from
+`reference`, a `Reference`: the map from time to the variable sigma in which
+the state its fields hold is linear, and its fields in that variable, from
 which `propagate_bloch` integrates the deviation. A clipped one also carries
 its saturated tail as `segments` that start at its last clamp.
 
@@ -40,30 +40,26 @@ def segment_index(starts, t: float) -> int:
 
 
 class Reference(NamedTuple):
-    """A run's times in the variable sigma of the deviation route, and the drive in it.
+    """The variable sigma of the deviation route, the state held in it, and the drive.
 
     The reference state is v*(sigma) = origin + sigma * slope, and
     `drive(sigma)` gives (dt/dsigma, omega0 dt/dsigma, omega1 dt/dsigma,
     omega2 dt/dsigma), so dv/dsigma = dt/dsigma (m0 v + k) + M(sigma) v
-    with the fields scaled by dt/dsigma. `sigma` holds the run's times
-    mapped to sigma, strictly increasing, and `breakpoints` the values of
-    sigma at which the drive has a kink.
+    with the fields scaled by dt/dsigma. `to_sigma` maps an array of times
+    to sigma, and `breakpoints` are the values of sigma at which the drive
+    has a kink. `propagate_bloch` decides whether a run can step in sigma.
     """
 
-    sigma: np.ndarray
+    to_sigma: Callable
     breakpoints: tuple
     drive: Callable
     origin: tuple
     slope: tuple
 
     @classmethod
-    def identity(cls, times, breakpoints, fields, origin) -> "Reference":
-        """The map sigma = t, about the constant reference state `origin`.
-
-        The drive is (1, *fields(t)), so the deviation route integrates
-        v - origin in t; with a zero origin that is RK45 on v itself.
-        """
-        return cls(times, breakpoints, lambda t: (1.0, *fields(t)), origin,
+    def identity(cls, breakpoints, fields, origin) -> "Reference":
+        """The map sigma = t about the constant state `origin`: RK45 on v - origin in t."""
+        return cls(lambda ts: ts, breakpoints, lambda t: (1.0, *fields(t)), origin,
                    (0.0, 0.0, 0.0))
 
 
@@ -91,18 +87,18 @@ class ControlWaveform:
         hold from starts[0] <= 0; a clipped `tracking.tracked_waveform`
         holds one triple from its last clamp on. None for every other
         waveform.
-    reference : callable or None
-        `times -> Reference`, for strictly increasing times before the first
-        start of `segments` (which may be the last of them): for a
-        `tracking.tracked_waveform`, the state its fields hold and the
-        fields, in a variable in which that state is linear, and for its
-        `equivalence.transport_waveform`, the same rotated. None for every
-        other waveform.
+    reference : Reference or None
+        For times before the first start of `segments` (which may be the
+        last of them): for a `tracking.tracked_waveform`, the state its
+        fields hold and the fields, in a variable in which that state is
+        linear, and for its `equivalence.transport_waveform`, the same
+        rotated. None for every other waveform.
 
     `propagate_bloch` runs RK45 before the first start of `segments`, on the
-    deviation from `reference`, or from `Reference.identity` about the zero
-    state (RK45 on v in t) if there is none, and exact steps from there.
-    `table` evaluates the fields over a whole grid.
+    deviation from `reference` where the run can step in its variable, and
+    otherwise from `Reference.identity` (RK45 in t, about the zero state if
+    there is no reference), and exact steps from there. `table` evaluates
+    the fields over a whole grid.
     """
 
     def __init__(self, func, t_end=None, breakpoints=()):

@@ -45,6 +45,14 @@ FREE_CONFIG = {
 }
 
 
+SWEEP_CONFIG = {
+    "gamma": 0.1,
+    "c": {"min": 0.2, "max": 0.8, "count": 4},
+    "p": {"min": 0.2, "max": 0.8, "count": 4},
+    "output": "sweep.csv",
+}
+
+
 def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -169,6 +177,55 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             SweepSpec.from_dict({"gamma": -1, "c": {"min": 0, "max": 1, "count": 2},
                                  "p": {"min": 0, "max": 1, "count": 2}})
+
+
+_NOT_PSD = [[[-0.1, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]] * 3, [[0.0, 0.0]] * 3]
+
+# One case for each check of the config reader (and the `fields` mode check)
+# that no other test reaches.
+CONFIG_CHECKS = {
+    "config-not-object": ("track", [1], "config: expected a JSON object"),
+    "missing-field": ("track", {k: v for k, v in TRACK_CONFIG.items() if k != "t_max"},
+                      "config: missing required field 't_max'"),
+    "non-number": ("track", dict(TRACK_CONFIG, t_max="10"),
+                   "t_max: expected a number, got '10'"),
+    "gks-rows": ("track", dict(TRACK_CONFIG, channel={"type": "gks", "matrix": [[1]]}),
+                 "channel.matrix: expected rows of [re, im] pairs"),
+    "gks-not-psd": ("track", dict(TRACK_CONFIG, channel={"type": "gks", "matrix": _NOT_PSD}),
+                    "channel.matrix: "),
+    "channel-type": ("track", dict(TRACK_CONFIG, channel={"type": "amplitude"}),
+                     "channel.type: must be 'dephasing' or 'gks', got 'amplitude'"),
+    "state-not-object": ("track", dict(TRACK_CONFIG, initial_state=[0.3, 0.3, 0.5]),
+                         "initial_state: expected a JSON object"),
+    "omega_max-zero": ("track", dict(TRACK_CONFIG, control={"mode": "track", "omega0": 4.0,
+                                                             "omega_max": 0.0}),
+                       "control.omega_max: must be positive"),
+    "waveform-not-string": ("track", dict(TRACK_CONFIG, control={"mode": "fixed",
+                                                                  "waveform": 3}),
+                            "control.waveform: expected a file path string"),
+    "control-mode": ("track", dict(TRACK_CONFIG, control={"mode": "hold"}),
+                     "control.mode: must be 'free', 'track' or 'fixed', got 'hold'"),
+    "samples-one": ("track", dict(TRACK_CONFIG, samples=1),
+                    "samples: must be an integer >= 2, got 1"),
+    "output-not-string": ("track", dict(TRACK_CONFIG, output=3),
+                          "output: expected a file path string"),
+    "fields-of-free": ("fields", FREE_CONFIG, "fields emission requires a track-mode config"),
+    "grid-count-zero": ("sweep", dict(SWEEP_CONFIG, c={"min": 0.2, "max": 0.8, "count": 0}),
+                        "sweep.c.count: must be an integer >= 1"),
+    "grid-min-above-max": ("sweep", dict(SWEEP_CONFIG, p={"min": 0.8, "max": 0.2,
+                                                          "count": 2}),
+                           "sweep.p: need min <= max, got [0.8, 0.2]"),
+    "sweep-output-not-string": ("sweep", dict(SWEEP_CONFIG, output=3),
+                                "sweep.output: expected a file path string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CHECKS))
+def test_config_check_is_one_error_line(tmp_path, capsys, case):
+    command, obj, message = CONFIG_CHECKS[case]
+    assert main(["--out-dir", str(tmp_path), command, write_config(tmp_path, obj)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestCLITrajectories:
@@ -439,12 +496,7 @@ class TestParserReuse:
 
 class TestCLISweepAndPlots:
     def test_sweep_output_and_infeasible_cells(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "gamma": 0.1,
-            "c": {"min": 0.2, "max": 0.8, "count": 4},
-            "p": {"min": 0.2, "max": 0.8, "count": 4},
-            "output": "sweep.csv",
-        })
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
         assert main(["--out-dir", str(tmp_path), "sweep", cfg]) == 0
         header, cells, _ = read_csv_columns(tmp_path / "sweep.csv")
         assert header == ["c", "p", "t_b"]

@@ -482,19 +482,20 @@ class TestDeviationRoute:
         assert _direct(w).reference is None
         h = 1e-7
         ts = np.linspace(h, 0.99 * w.t_end, 7)
-        ref = w.reference(ts)
+        ref = w.reference
+        sigmas = ref.to_sigma(ts)
         vz = [vz_tracked(V0, self.GAMMA, t) for t in ts.tolist()]
-        assert ref.sigma.tobytes() == (-np.abs(vz)).tobytes()
-        states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
+        assert sigmas.tobytes() == (-np.abs(vz)).tobytes()
+        states = np.asarray(ref.origin) + sigmas[:, None] * np.asarray(ref.slope)
         assert states.tobytes() == np.column_stack(
             [np.full(7, V0.vx), np.full(7, V0.vy), vz]).tobytes()
         assert ref.breakpoints == () and ref.slope == (0.0, 0.0, -1.0)
         ch, fields = BlochChannel.dephasing(self.GAMMA), w.unchecked()
-        for t, sigma, state in zip(ts.tolist(), ref.sigma.tolist(), states):
+        for t, sigma, state in zip(ts.tolist(), sigmas.tolist(), states):
             dt, *scaled = ref.drive(sigma)
             assert np.allclose(np.array(scaled) / dt, fields(t), rtol=1e-13, atol=0.0)
             # dt/dsigma is 1 / (dsigma/dt) of the map.
-            ends = w.reference(np.array([t - h, t + h])).sigma
+            ends = ref.to_sigma(np.array([t - h, t + h]))
             assert math.isclose(dt, 2 * h / (ends[1] - ends[0]), rel_tol=1e-6)
             rate = dt * (ch.m0 @ state + ch.k) + control_matrix(*scaled) @ state
             assert np.max(np.abs(rate - ref.slope)) <= 1e-13
@@ -510,22 +511,18 @@ class TestDeviationRoute:
             w0, w1, w2 = fields(t)
             return (w0, -w1, w2)
 
-        def flipped_reference(ts):
-            ref = w.reference(ts)
+        ref = w.reference
 
-            def drive(sigma):
-                dt, a0, a1, a2 = ref.drive(sigma)
-                return (dt, a0, -a1, a2)
+        def drive(sigma):
+            dt, a0, a1, a2 = ref.drive(sigma)
+            return (dt, a0, -a1, a2)
 
-            return ref._replace(drive=drive)
-
-        held = ControlWaveform._holding(flipped, w.t_end, flipped_reference)
+        held = ControlWaveform._holding(flipped, w.t_end, ref._replace(drive=drive))
         plain = ControlWaveform(flipped, w.t_end)
         ch = BlochChannel.dephasing(self.GAMMA)
         got = propagate_bloch(ch, held, V0, 8.0, n_samples=161)
         want = propagate_bloch(ch, plain, V0, 8.0, n_samples=161)
-        ref = w.reference(got.t)
-        states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
+        states = np.asarray(ref.origin) + ref.to_sigma(got.t)[:, None] * np.asarray(ref.slope)
         assert np.max(np.linalg.norm(got.v - states, axis=1)) > 0.5
         assert np.max(np.abs(got.v - want.v)) <= 1e-8
 
@@ -534,15 +531,13 @@ class TestDeviationRoute:
         # so the result is still that of the fields.
         w = tracked_waveform(V0, self.GAMMA, self.OMEGA0)
 
-        def wrong(ts):
-            return w.reference(ts)._replace(origin=(0.5, -0.4, 0.3), slope=(0.2, 0.0, 1.0))
-
+        wrong = w.reference._replace(origin=(0.5, -0.4, 0.3), slope=(0.2, 0.0, 1.0))
         held = ControlWaveform._holding(w.unchecked(), w.t_end, wrong)
         ch = BlochChannel.dephasing(self.GAMMA)
         got = propagate_bloch(ch, held, V0, 8.0, n_samples=161)
         want = propagate_bloch(ch, _direct(w), V0, 8.0, n_samples=161)
-        ref = wrong(got.t)
-        states = np.asarray(ref.origin) + ref.sigma[:, None] * np.asarray(ref.slope)
+        states = (np.asarray(wrong.origin)
+                  + wrong.to_sigma(got.t)[:, None] * np.asarray(wrong.slope))
         assert np.min(np.linalg.norm(got.v - states, axis=1)) > 0.5
         assert got.termination == want.termination
         assert np.max(np.abs(got.v - want.v)) <= 1e-8
@@ -571,34 +566,57 @@ class TestDeviationRoute:
         nums = [abs(f) * V0.vz for f in tracking_fields_dephasing(V0, self.GAMMA,
                                                                    self.OMEGA0, 0.0)]
         head = np.linspace(0.0, t_hold, 9)
-        got, want = clipped.reference(head), plain.reference(head[:-1])
-        assert got.sigma[:-1].tobytes() == want.sigma.tobytes()
-        assert math.isclose(got.sigma[-1], -min(nums) / level, rel_tol=1e-15)
+        got, want = clipped.reference, plain.reference
+        got_sigma, want_sigma = got.to_sigma(head), want.to_sigma(head[:-1])
+        assert got_sigma[:-1].tobytes() == want_sigma.tobytes()
+        assert math.isclose(got_sigma[-1], -min(nums) / level, rel_tol=1e-15)
         assert np.allclose(sorted(got.breakpoints), sorted(-n / level for n in nums),
                            rtol=1e-15, atol=0.0)
         assert (got.origin, got.slope) == (want.origin, want.slope)
         first = min(got.breakpoints)
-        for sigma in np.linspace(want.sigma[0], first, 5, endpoint=False).tolist():
+        for sigma in np.linspace(want_sigma[0], first, 5, endpoint=False).tolist():
             assert got.drive(sigma) == want.drive(sigma)
         # Between the kinks one field is clamped, past both every field.
-        scaled = np.array(got.drive(got.sigma[-1])[1:]) / got.drive(got.sigma[-1])[0]
+        scaled = np.array(got.drive(got_sigma[-1])[1:]) / got.drive(got_sigma[-1])[0]
         assert np.allclose(np.abs(scaled[1:]), level, rtol=1e-12, atol=0.0)
 
-    def test_a_horizon_too_short_for_w_takes_the_identity_map(self):
+    def test_a_horizon_too_short_for_w_takes_the_identity_map(self, monkeypatch):
         # With t_b near 1e301 every time of the run maps to the same w: the
         # route integrates in t about the constant reference v*(0) instead,
-        # and still gives the result of the fields.
+        # and still gives the result of the fields. `propagate_bloch` makes
+        # that choice, so the reference RK45 receives is read there.
         gamma = 1e-300
         w = tracked_waveform(V0, gamma, self.OMEGA0)
         grid = np.linspace(0.0, 5.0, 11)
-        ref = w.reference(grid)
-        assert ref.sigma is grid and ref.slope == (0.0, 0.0, 0.0)
+        assert not np.all(np.diff(w.reference.to_sigma(grid)) > 0.0)
+        deviation_steps, taken = dynamics._deviation_steps, []
+
+        def recording_deviation_steps(ch, ref, sigma, v0, cfg):
+            taken.append((ref, sigma))
+            return deviation_steps(ch, ref, sigma, v0, cfg)
+
+        monkeypatch.setattr(dynamics, "_deviation_steps", recording_deviation_steps)
+        ch = BlochChannel.dephasing(gamma)
+        got = propagate_bloch(ch, w, V0, 5.0, n_samples=11)
+        (ref, sigma), = taken
+        assert np.array_equal(sigma, grid) and ref.to_sigma(grid) is grid
+        assert ref.slope == (0.0, 0.0, 0.0) and ref.breakpoints == w.breakpoints
         assert ref.origin == (V0.vx, V0.vy, V0.vz)
         fields = w.unchecked()
         assert ref.drive(2.5) == (1.0, *fields(2.5))
-        ch = BlochChannel.dephasing(gamma)
-        got = propagate_bloch(ch, w, V0, 5.0, n_samples=11)
         want = propagate_bloch(ch, _direct(w), V0, 5.0, n_samples=11)
+        assert got.termination == want.termination == Termination("horizon")
+        assert np.max(np.abs(got.v - want.v)) <= 1e-8
+
+    def test_the_stiffness_rule_reads_the_runs_channel(self):
+        # The waveform's gamma is 1e-12 and the run's channel dephases at 1e4:
+        # dt/dsigma times the channel's rate decays the deviation by about 16
+        # times its size in RK45's shortest step in sigma, so the run takes t.
+        v0 = CoherenceVector(0.5, 0.5, 0.5)
+        w = tracked_waveform(v0, 1e-12, 0.0)
+        ch = BlochChannel.dephasing(1e4)
+        got = propagate_bloch(ch, w, v0, 1e-3, n_samples=11)
+        want = propagate_bloch(ch, _direct(w), v0, 1e-3, n_samples=11)
         assert got.termination == want.termination == Termination("horizon")
         assert np.max(np.abs(got.v - want.v)) <= 1e-8
 

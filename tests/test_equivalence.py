@@ -247,12 +247,13 @@ class TestFieldTransport:
         r = su2_to_so3(HADAMARD)
         turned = transport_waveform(w, r)
         ts = np.linspace(0.0, min(hold, 4.0), 9)
-        ref, turned_ref = w.reference(ts), turned.reference(ts)
-        assert np.array_equal(turned_ref.sigma, ref.sigma)
+        ref, turned_ref = w.reference, turned.reference
+        sigmas = ref.to_sigma(ts)
+        assert np.array_equal(turned_ref.to_sigma(ts), sigmas)
         assert turned_ref.breakpoints == ref.breakpoints
         assert np.array_equal(turned_ref.origin, r.matrix @ ref.origin)
         assert np.array_equal(turned_ref.slope, r.matrix @ ref.slope)
-        for sigma in ref.sigma:
+        for sigma in sigmas:
             # dt/dsigma as it was, the scaled fields rotated as fields are.
             dt, *scaled = ref.drive(sigma)
             turned_dt, *turned_scaled = turned_ref.drive(sigma)
@@ -267,6 +268,24 @@ class TestFieldTransport:
         allowance = 1e-8 + np.finfo(float).eps * turn_rate * np.maximum(want.t - hold, 0.0)
         assert np.all(err <= allowance)
         assert np.max(err[want.t < hold]) <= 1e-8
+
+    @pytest.mark.parametrize("v0, gamma, omega0, t_max", [
+        (CoherenceVector(math.sqrt(0.3), math.sqrt(0.2), math.sqrt(0.5)), 1e-300, OMEGA0, 5.0),
+        (CoherenceVector(3e-9, 0.0, 0.5), 100.0, 0.0, 20.0),
+    ], ids=["tiny-horizon", "stiff"])
+    def test_transported_runs_that_leave_sigma(self, v0, gamma, omega0, t_max):
+        # Runs that RK45 cannot step in sigma: one whose times all map to the
+        # same w, and one whose drive in sigma is too stiff for its shortest
+        # step. Transported, they still take t and follow the rotated run.
+        w = tracked_waveform(v0, gamma, omega0)
+        ch = BlochChannel.dephasing(gamma)
+        want = propagate_bloch(ch, w, v0, t_max, n_samples=11)
+        r = su2_to_so3(HADAMARD).matrix
+        turned = BlochChannel(r @ ch.m0 @ r.T, r @ ch.k)
+        got = propagate_bloch(turned, transport_waveform(w, Rotation3(r)),
+                              transform_state(v0, Rotation3(r)), t_max, n_samples=11)
+        assert got.termination == want.termination == Termination("horizon")
+        assert np.max(np.abs(got.v - want.v @ r.T)) <= 1e-8
 
 
 class TestDephasingClassMembership:

@@ -239,7 +239,7 @@ def test_clipped_track_runs_no_solver_past_the_last_clamp(monkeypatch):
     assert traj.t[-1] == TRACK_CLIPPED["t_max"] > t_hold
     # RK45 runs in sigma = -w = -|v_z*|, one solve up to each clamp, the last
     # ending at the w of the tail's start T: the smaller |N| / omega_max.
-    sigma_hold = w.reference(np.array([0.0, t_hold])).sigma[-1]
+    sigma_hold = w.reference.to_sigma(np.array([0.0, t_hold]))[-1]
     nums = [abs(f) * abs(v0.vz) for f in w(0.0)[1:]]
     assert math.isclose(sigma_hold, -min(nums) / control["omega_max"], rel_tol=1e-15)
     assert len(spans) == 2 and spans[-1][1] == sigma_hold

@@ -24,6 +24,7 @@ from cohtrack.dynamics import (
     Termination,
     Trajectory,
     _output_grid,
+    free_dephasing_analytic,
     propagate_bloch,
     purity_rate,
 )
@@ -79,6 +80,26 @@ class TestBreakdownTime:
     def test_negative_rate_rejected(self):
         with pytest.raises(DomainError):
             breakdown_time(V0, -0.1)
+
+    # A NaN rate or time is refused as a negative one is: it fails every
+    # comparison, so no closed form can return a value for it.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: breakdown_time(V0, math.nan), "gamma must be >= 0"),
+        (lambda: vz_tracked(V0, GAMMA, math.nan), "t must be >= 0"),
+        (lambda: vz_tracked(V0, math.nan, 1.0), "gamma must be >= 0"),
+        (lambda: clip_time(V0, math.nan, OMEGA0, 5.0), "gamma must be >= 0"),
+        (lambda: tracking_fields_dephasing(V0, GAMMA, OMEGA0, math.nan), "t must be >= 0"),
+        (lambda: detect_breakdown(DEPHASING, V0, OMEGA0, math.nan), "t_cap must be >= 0"),
+        (lambda: detect_breakdown(DEPHASING, V0, OMEGA0, -1.0), "t_cap must be >= 0"),
+        (lambda: free_dephasing_analytic(math.nan, V0, 1.0), "gamma must be >= 0"),
+        (lambda: free_dephasing_analytic(GAMMA, V0, math.nan), "t must be >= 0"),
+    ], ids=["breakdown_time", "vz_tracked-t", "vz_tracked-gamma", "clip_time",
+            "fields-t", "detect-nan", "detect-negative", "free-gamma", "free-t"])
+    def test_a_nan_rate_or_time_is_refused(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+        # An infinite time is a time: with no decay v_z stays at v_z(0).
+        assert vz_tracked(V0, 0.0, math.inf) == V0.vz
 
     def test_sign_symmetric_in_vz(self):
         down = CoherenceVector(V0.vx, V0.vy, -V0.vz)
